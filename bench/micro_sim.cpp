@@ -68,8 +68,8 @@ BM_InterpreterDispatch(benchmark::State &state)
 {
     // ALU/branch-dense loop run entirely under the interpreted tier:
     // no heap traffic, no GC, no compilation, so host time is dominated
-    // by the dispatch + cost-table hot path of Interpreter::run. Pins
-    // the threaded-dispatch rewrite's throughput independently of the
+    // by the trace executor's segment folding and interpreted-tier
+    // cost-table path. Pins that throughput independently of the
     // end-to-end pipeline.
     jvm::Program p;
     p.name = "dispatch";

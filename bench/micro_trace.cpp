@@ -53,7 +53,6 @@ BM_TraceCapture(benchmark::State &state)
     // Per-sample spool append, writer thread draining to /tmp.
     core::TraceSpool::Config cfg;
     cfg.path = scratchPath("capture");
-    cfg.backend = core::TraceSpool::backendFromEnv();
     core::TraceSpool spool(cfg);
     std::uint64_t i = 0;
     for (auto _ : state)

@@ -56,12 +56,10 @@ main(int argc, char **argv)
     core::TraceSpool::Config powerSp;
     powerSp.path = powerTrc;
     powerSp.kind = core::tracefmt::RecordKind::Power;
-    powerSp.backend = core::TraceSpool::backendFromEnv();
     core::TraceSpool powerSpool(powerSp);
     core::TraceSpool::Config perfSp;
     perfSp.path = perfTrc;
     perfSp.kind = core::tracefmt::RecordKind::Perf;
-    perfSp.backend = core::TraceSpool::backendFromEnv();
     core::TraceSpool perfSpool(perfSp);
 
     core::Daq::Config daqCfg;

@@ -1,11 +1,9 @@
 #!/bin/sh
-# Tier-1 gate: configure, build, and run the full test suite; then the
-# suite again in the two alternate dispatch modes (per-op interpreter
-# oracle via JAVELIN_INTERP_NO_FAST_PATH, and the switch-dispatch
-# fallback build without computed goto); then a
-# Debug ASan+UBSan pass over the same suite (the threaded-dispatch and
-# SoA hot paths lean on raw pointers and computed goto, exactly where
-# sanitizers earn their keep); then the perf gate: Release builds of
+# Tier-1 gate: configure, build, and run the full test suite (the
+# per-op interpreter and GC oracles run inside it, in-process, as the
+# reference side of tests/test_interp_diff.cc and tests/test_gc_diff.cc);
+# then the CLI smokes; then the same suite once more in a Debug
+# ASan+UBSan build; then the perf gate: Release builds of
 # bench/micro_sim, bench/micro_gc, and bench/micro_trace whose gated
 # throughput metrics must stay within 10 % of the committed baselines
 # (see scripts/compare_bench.py); plus the trace-spool smoke
@@ -156,21 +154,25 @@ if [ $((rss_10m - rss_1m)) -gt 65536 ]; then
 fi
 echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 
-# --- dispatch-mode gates: the same suite — including the call-dense
-# --- differentials of tests/test_interp_diff.cc (call_heavy across all
-# --- tiers and heaps) — must hold with the batched interpreter fast
-# --- path disabled (the per-op oracle that the differential fuzzers
-# --- compare against; its goldens must match the fast path's bit for
-# --- bit), and in the portable switch-dispatch build without computed
-# --- goto.
-JAVELIN_INTERP_NO_FAST_PATH=1 ctest --test-dir build \
-    --output-on-failure -j
-cmake -B build-fallback -S . \
-    -DCMAKE_CXX_FLAGS="-DJAVELIN_NO_COMPUTED_GOTO"
-cmake --build build-fallback -j
-ctest --test-dir build-fallback --output-on-failure -j
+# --- argument smoke: a malformed count must be a usage error (exit 2),
+# --- never silently parsed into some other number ("1e6" as 1, "-1" as
+# --- 2^32-1).
+expect_usage_error() {
+    "$@" > /dev/null 2>&1 && rc=0 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "ci.sh: expected exit 2, got $rc: $*" >&2
+        exit 1
+    fi
+}
+expect_usage_error "$TRACE" record --samples 1e6 \
+    --out "$TRACE_DIR/bad.jtrc"
+expect_usage_error "$SWEEP" "$SMOKE" --jobs -1
+echo "argument smoke: malformed counts rejected with exit 2"
 
-# --- sanitizer gate (skippable for quick iteration)
+# --- sanitizer gate (skippable for quick iteration): the trace
+# --- executor and the SoA cache hot paths lean on raw pointers into
+# --- pre-sized register pools and way arrays, exactly where ASan and
+# --- UBSan earn their keep.
 if [ "${JAVELIN_SKIP_ASAN:-0}" = "1" ]; then
     echo "ci.sh: JAVELIN_SKIP_ASAN=1, skipping the sanitizer gate"
 else

@@ -12,13 +12,8 @@
  * framed, CRC-stamped, each carrying a footer index of its tick range
  * and component mask.
  *
- * The writer drains with plain pwrite(2) by default — the portable
- * path and the oracle the io_uring backend is verified against. On
- * Linux hosts with <linux/io_uring.h>, setting
- * Config::backend = Backend::IoUring (or JAVELIN_TRACE_IO_URING=1)
- * submits block writes through a small io_uring instead; if ring setup
- * fails at runtime (old kernel, seccomp) the spool falls back to
- * pwrite with a warning rather than failing the run.
+ * The writer drains each sealed block with pwrite(2) (pwriteAll): one
+ * write path, the single place a write-failure seam has to wrap.
  *
  * TraceReader is the other half: it validates the file, builds the
  * block index from footers alone (no record decoding), recovers a
@@ -49,14 +44,6 @@ namespace core {
 class TraceSpool
 {
   public:
-    enum class Backend
-    {
-        /** pwrite(2) on the writer thread; always available. */
-        Pwrite,
-        /** io_uring submission; falls back to Pwrite if unavailable. */
-        IoUring,
-    };
-
     struct Config
     {
         std::string path;
@@ -67,7 +54,6 @@ class TraceSpool
          * buffer always holds at least one record.
          */
         std::size_t bufferBytes = 1 << 20;
-        Backend backend = Backend::Pwrite;
         /** fsync the file before closing it. */
         bool fsyncOnClose = false;
         /**
@@ -113,14 +99,6 @@ class TraceSpool
     std::uint64_t blocksWritten() const;
     /** Bytes written to the file so far, header included. */
     std::uint64_t bytesWritten() const;
-    /** True when the io_uring backend was requested and is active. */
-    bool usingIoUring() const { return usingIoUring_; }
-
-    /** Host support probe for the io_uring backend. */
-    static bool ioUringAvailable();
-
-    /** Backend::IoUring if JAVELIN_TRACE_IO_URING=1, else Pwrite. */
-    static Backend backendFromEnv();
 
   private:
     struct Buffer
@@ -140,7 +118,6 @@ class TraceSpool
                        const unsigned char *rec, std::size_t len);
     void sealActive();
     void writerLoop();
-    void writeBlock(const unsigned char *data, std::size_t len);
     void pwriteAll(const unsigned char *data, std::size_t len);
 
     Config config_;
@@ -159,10 +136,6 @@ class TraceSpool
     std::uint64_t blocksWritten_ = 0;
     std::uint64_t fileOffset_ = 0;
     std::thread writer_;
-
-    bool usingIoUring_ = false;
-    struct IoUringCtx;
-    IoUringCtx *ring_ = nullptr;
 };
 
 /**

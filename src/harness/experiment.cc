@@ -82,7 +82,6 @@ runExperiment(const ExperimentConfig &config, const jvm::Program &program)
     if (!config.traceSpoolDir.empty()) {
         std::filesystem::create_directories(config.traceSpoolDir);
         core::TraceSpool::Config sp;
-        sp.backend = core::TraceSpool::backendFromEnv();
         sp.path = config.traceSpoolDir + "/" + program.name +
                   ".power.jtrc";
         sp.kind = core::tracefmt::RecordKind::Power;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -72,15 +73,29 @@ SweepRunner::resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("JAVELIN_JOBS")) {
-        char *end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed > 0)
-            return static_cast<unsigned>(parsed);
+        unsigned parsed = 0;
+        if (parseJobs(env, parsed) && parsed > 0)
+            return parsed;
         std::cerr << "javelin: ignoring invalid JAVELIN_JOBS='" << env
                   << "'\n";
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+bool
+SweepRunner::parseJobs(const char *text, unsigned &jobs)
+{
+    // strtoull alone would skip whitespace and negate a leading '-'
+    // ("-1" -> ~2^64), so require a digit first.
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || v > std::numeric_limits<unsigned>::max())
+        return false;
+    jobs = static_cast<unsigned>(v);
+    return true;
 }
 
 std::uint64_t

@@ -113,6 +113,13 @@ class SweepRunner
     static unsigned resolveJobs(unsigned requested);
 
     /**
+     * Parse a worker count as JAVELIN_JOBS and javelin-sweep --jobs
+     * spell it: decimal digits only (a sign is invalid, not negated),
+     * fitting an unsigned; 0 is accepted. False on anything else.
+     */
+    static bool parseJobs(const char *text, unsigned &jobs);
+
+    /**
      * Deterministic per-task seed: a SplitMix64-style mix of the base
      * config seed and the task's position in the sweep. Serial loops
      * that must reproduce SweepRunner results apply the same mix.

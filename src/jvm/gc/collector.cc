@@ -1,7 +1,6 @@
 #include "jvm/gc/collector.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "jvm/gc/gencopy.hh"
 #include "jvm/gc/genms.hh"
@@ -80,13 +79,6 @@ gcPollFreeUnits(sim::System &system)
     if (units >= 4.0e9)
         return 0xFFFFFFFFu;
     return static_cast<std::uint64_t>(units);
-}
-
-bool
-gcFastPathDefault()
-{
-    static const bool on = std::getenv("JAVELIN_GC_NO_FAST_PATH") == nullptr;
-    return on;
 }
 
 const char *

@@ -147,10 +147,6 @@ struct GcCostTable
  */
 std::uint64_t gcPollFreeUnits(sim::System &system);
 
-/** Default for GcEnv::fastPath: true unless JAVELIN_GC_NO_FAST_PATH is
- *  set in the environment (checked once). */
-bool gcFastPathDefault();
-
 /** The collector algorithms of paper Fig. 3 (plus Kaffe's). */
 enum class CollectorKind
 {
@@ -199,10 +195,10 @@ struct GcEnv
     /**
      * Use the batched fast paths (host-side graph walk + exact event
      * replay, DESIGN.md §5e). Off = the historical per-word reference
-     * paths, kept as the oracle for tests/test_gc_diff.cc. Both produce
-     * bit-identical architectural events and joules.
+     * paths, the oracle only tests/test_gc_diff.cc selects. Both
+     * produce bit-identical architectural events and joules.
      */
-    bool fastPath = gcFastPathDefault();
+    bool fastPath = true;
 };
 
 /**

@@ -2,56 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "jvm/op_costs.hh"
 
 namespace javelin {
 namespace jvm {
 
-bool
-interpFastPathDefault()
-{
-    static const bool on =
-        std::getenv("JAVELIN_INTERP_NO_FAST_PATH") == nullptr;
-    return on;
-}
-
 namespace {
 
-using op_costs::isFoldable;
 using op_costs::isTraceable;
 using op_costs::kBaseUops;
-
-/**
- * Opcode list in enum order, used to build the threaded-dispatch label
- * table and to pin the base micro-op table below to the enum layout.
- */
-#define JAVELIN_FOR_EACH_OP(X) \
-    X(Nop) X(IConst) X(Move) X(IAdd) X(ISub) X(IMul) X(IDiv) X(IRem) \
-    X(IXor) X(FAdd) X(FMul) X(Rand) X(Goto) X(IfLt) X(IfGe) X(IfEq) \
-    X(IfNe) X(IfNull) X(IfNotNull) X(Call) X(Ret) X(New) X(NewArray) \
-    X(GetField) X(PutField) X(GetRef) X(PutRef) X(GetElem) X(PutElem) \
-    X(GetRefElem) X(PutRefElem) X(ArrayLen) X(GetStatic) X(PutStatic) \
-    X(NativeWork) X(Halt) X(NumOps)
-
-#define JAVELIN_OP_ENUM(name) Op::name,
-constexpr Op kOpOrder[] = {JAVELIN_FOR_EACH_OP(JAVELIN_OP_ENUM)};
-#undef JAVELIN_OP_ENUM
-
-constexpr bool
-opOrderMatchesEnum()
-{
-    for (std::size_t i = 0; i < kNumOps + 1; ++i)
-        if (kOpOrder[i] != static_cast<Op>(i))
-            return false;
-    return true;
-}
-
-static_assert(sizeof(kOpOrder) / sizeof(kOpOrder[0]) == kNumOps + 1,
-              "JAVELIN_FOR_EACH_OP must list every opcode plus NumOps");
-static_assert(opOrderMatchesEnum(),
-              "JAVELIN_FOR_EACH_OP must match the Op enum order");
 
 /**
  * Division with the INT64_MIN / -1 overflow case defined as wrap
@@ -480,8 +440,8 @@ Interpreter::runSegmentFast(sim::CpuModel &cpu, Frame &f,
  * with their exact per-op v2 charge stream — the same handler bodies
  * as the oracle, included from interpreter_ops.inc below, preceded by
  * the same dispatch/operand/spill charges the per-op front end emits.
- * Poll and quantum countdowns tick exactly as JAVELIN_TAIL_CHECKS
- * does (segments are clamped so boundaries land between bytecodes),
+ * Poll and quantum countdowns tick exactly as runSlice's safepoint
+ * tail does (segments are clamped so boundaries land between bytecodes),
  * and the tier cost table is re-read after every quantum since the
  * optimizing compiler may have retiered the method.
  *
@@ -559,8 +519,8 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
             if (!isTraceable(in->op))
                 return;
 
-            // The per-op front-end charges, verbatim from
-            // JAVELIN_FETCH_CHARGE: folded dispatch+semantic execute
+            // The per-op front-end charges, verbatim from runSlice's
+            // front end: folded dispatch+semantic execute
             // (plus the bytecode operand fetch when interpreted) and
             // the gated spill load.
             if (rt->tier == Tier::Interpreted) {
@@ -605,7 +565,7 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
             }
             f->pc = next;
 
-            // JAVELIN_TAIL_CHECKS, with the quantum's possible
+            // runSlice's safepoint tail, with the quantum's possible
             // retiering folded in.
             if (--pollCountdown == 0) {
                 pollCountdown = config_.pollInterval;
@@ -650,115 +610,6 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
     }
 }
 
-/**
- * Threaded dispatch uses the GNU computed-goto extension; any other
- * compiler (or -DJAVELIN_NO_COMPUTED_GOTO) gets the portable switch.
- * Both modes share the handler bodies in interpreter_ops.inc.
- */
-#if defined(__GNUC__) && !defined(JAVELIN_NO_COMPUTED_GOTO)
-#define JAVELIN_THREADED_DISPATCH 1
-#else
-#define JAVELIN_THREADED_DISPATCH 0
-#endif
-
-/**
- * Fast-path trace gate, run before each dispatch's liveness check: if
- * the pending op is traceable, the whole trace — folded segments plus
- * inline branches, heap accessors and Call/Ret — runs in
- * runTraceFast's host loop, and dispatch resumes at the first
- * non-traceable op (or with the stack empty after the final Ret, which
- * is why this must precede the frames_.empty() test: the per-bytecode
- * front end below may not touch frames_.back() afterwards).
- */
-#define JAVELIN_MAYBE_TRACE() \
-    do { \
-        if (config_.fastPath && !frames_.empty() && !halted_ && \
-            !yield_ && \
-            isTraceable( \
-                frames_.back().method->code[frames_.back().pc].op)) \
-            runTraceFast(cpu, pollCountdown, quantumCountdown); \
-    } while (0)
-
-/**
- * Per-bytecode front end, identical for both dispatch modes.
- *
- * A foldable bytecode always sits at the head of a segment of
- * n = min(static run length, poll countdown, quantum countdown) ≥ 1
- * foldable bytecodes whose folded charges are emitted up front by
- * emitSegmentCharges (DESIGN.md §5f) — the clamping means polls and
- * quantum callbacks can only come due at a segment boundary, so the
- * poll tick schedule is bit-identical to per-op execution. On the fast
- * path JAVELIN_MAYBE_TRACE already ran everything traceable, so the
- * pending op takes the per-op path below; in oracle mode
- * (JAVELIN_INTERP_NO_FAST_PATH=1) the threaded dispatch executes each
- * segment per-op with the already-paid charges suppressed
- * (segPrepaid_). Non-foldable ops keep the historical per-op charge
- * sequence: dispatch execute (plus the bytecode operand fetch when
- * interpreted) and the gated frame-spill load.
- */
-#define JAVELIN_FETCH_CHARGE() \
-    do { \
-        f = &frames_.back(); \
-        JAVELIN_ASSERT(f->pc < f->method->code.size(), \
-                       "pc fell off method ", f->method->name); \
-        rt = f->rt; \
-        tc = &tierCosts_[static_cast<unsigned>(rt->tier)]; \
-        if (!config_.fastPath) { \
-            const std::uint32_t run_ = f->runLen[f->pc]; \
-            if (run_ != 0 && segPrepaid_ == 0) { \
-                const std::uint32_t n_ = std::min( \
-                    run_, std::min(pollCountdown, quantumCountdown)); \
-                double stall_ = 0.0; \
-                const std::uint32_t uops_ = \
-                    sumSegmentUops(*f, *tc, f->pc, n_, &stall_); \
-                emitSegmentCharges(cpu, *f, *tc, f->pc, n_, uops_, \
-                                   stall_); \
-                segPrepaid_ = n_; \
-            } \
-        } \
-        in = &f->method->code[f->pc]; \
-        if (segPrepaid_ != 0) { \
-            --segPrepaid_; \
-        } else { \
-            if (rt->tier == Tier::Interpreted) { \
-                cpu.execute( \
-                    tc->opExecUops[static_cast<unsigned>(in->op)], \
-                    kInterpreterCodeBase + \
-                        static_cast<Address>(in->op) * 128, \
-                    48); \
-                cpu.loadBuffered(f->method->bytecodeAddr + \
-                                     f->pc * sizeof(Instruction), \
-                                 bcFetchLine_); \
-            } else { \
-                cpu.execute( \
-                    tc->opExecUops[static_cast<unsigned>(in->op)], \
-                    rt->codeAddr + f->pc * tc->bytesPerBc, \
-                    tc->bytesPerBc); \
-            } \
-            if (((++spillCounter_) & tc->spillMask) == 0) \
-                cpu.load(kStackBase + frames_.size() * 256 + \
-                         ((f->pc * 8) & 0xf8)); \
-        } \
-        ++executed_; \
-        ir = intRegs_.data() + f->intBase; \
-        rr = refRegs_.data() + f->refBase; \
-        next = f->pc + 1; \
-    } while (0)
-
-/** Safepoint tail run after every bytecode (including Call/Ret/Halt). */
-#define JAVELIN_TAIL_CHECKS() \
-    do { \
-        if (--pollCountdown == 0) { \
-            pollCountdown = config_.pollInterval; \
-            system_.poll(); \
-        } \
-        if (--quantumCountdown == 0) { \
-            quantumCountdown = config_.quantumBytecodes; \
-            if (onQuantum) \
-                onQuantum(); \
-        } \
-    } while (0)
-
 std::int64_t
 Interpreter::run(MethodId entry)
 {
@@ -795,6 +646,13 @@ Interpreter::abortRun()
     active_ = false;
 }
 
+/**
+ * The per-op dispatch loop. With the fast path on, runTraceFast runs
+ * everything traceable and this loop only steps the exits it leaves
+ * behind (NativeWork, Halt); with it off, the loop steps every
+ * bytecode and is the oracle tests/test_interp_diff.cc holds
+ * runTraceFast against.
+ */
 bool
 Interpreter::runSlice()
 {
@@ -808,65 +666,76 @@ Interpreter::runSlice()
     std::uint32_t pollCountdown = pollCountdown_;
     std::uint32_t quantumCountdown = quantumCountdown_;
 
-    // Per-bytecode views, refreshed by JAVELIN_FETCH_CHARGE.
-    Frame *f = nullptr;
-    const Instruction *in = nullptr;
-    const MethodRuntime *rt = nullptr;
-    const TierCost *tc = nullptr;
-    std::int64_t *ir = nullptr;
-    Address *rr = nullptr;
-    std::uint32_t next = 0;
-
-#if JAVELIN_THREADED_DISPATCH
-
-    static const void *const kLabels[] = {
-#define JAVELIN_OP_LABEL(name) &&javelin_op_##name,
-        JAVELIN_FOR_EACH_OP(JAVELIN_OP_LABEL)
-#undef JAVELIN_OP_LABEL
-    };
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kNumOps + 1);
-
-#define JAVELIN_DISPATCH_NEXT() \
-    do { \
-        JAVELIN_MAYBE_TRACE(); \
-        if (frames_.empty() || halted_ || yield_) \
-            goto javelin_run_done; \
-        JAVELIN_FETCH_CHARGE(); \
-        goto *kLabels[static_cast<unsigned>(in->op)]; \
-    } while (0)
-
-    // Entry: frames_ is non-empty, halted_ and yield_ false after
-    // start() and at every slice resume (the trace gate may drain the
-    // whole program right here).
-    JAVELIN_DISPATCH_NEXT();
-
-#define JAVELIN_OP(name) javelin_op_##name: {
-#define JAVELIN_OP_END \
-    } \
-    f->pc = next; \
-    JAVELIN_TAIL_CHECKS(); \
-    JAVELIN_DISPATCH_NEXT();
-#define JAVELIN_OP_END_FRAME \
-    } \
-    JAVELIN_TAIL_CHECKS(); \
-    JAVELIN_DISPATCH_NEXT();
-
-#include "jvm/interpreter_ops.inc"
-
-#undef JAVELIN_OP
-#undef JAVELIN_OP_END
-#undef JAVELIN_OP_END_FRAME
-#undef JAVELIN_DISPATCH_NEXT
-
-javelin_run_done:;
-
-#else // !JAVELIN_THREADED_DISPATCH
-
     for (;;) {
-        JAVELIN_MAYBE_TRACE();
+        // Fast-path trace gate: if the pending op is traceable, the
+        // whole trace runs in runTraceFast's host loop, and this loop
+        // resumes at the first non-traceable op — or with the stack
+        // empty after the final Ret, which is why the gate precedes the
+        // liveness check: the front end below may not touch
+        // frames_.back() afterwards.
+        if (config_.fastPath && !frames_.empty() && !halted_ &&
+            !yield_ &&
+            isTraceable(frames_.back().method->code[frames_.back().pc].op))
+            runTraceFast(cpu, pollCountdown, quantumCountdown);
         if (frames_.empty() || halted_ || yield_)
             break;
-        JAVELIN_FETCH_CHARGE();
+
+        // Per-bytecode front end. A foldable bytecode always sits at
+        // the head of a segment of n = min(static run length, poll
+        // countdown, quantum countdown) >= 1 foldable bytecodes whose
+        // folded charges are emitted up front by emitSegmentCharges
+        // (DESIGN.md §5f) — the clamping means polls and quantum
+        // callbacks can only come due at a segment boundary, so the
+        // poll tick schedule is bit-identical to runTraceFast's. On the
+        // fast path the gate above already ran everything traceable;
+        // in oracle mode (fastPath off) this loop executes each segment
+        // per-op with the already-paid charges suppressed
+        // (segPrepaid_). Non-foldable ops keep the historical per-op
+        // charge sequence: dispatch execute (plus the bytecode operand
+        // fetch when interpreted) and the gated frame-spill load.
+        Frame *f = &frames_.back();
+        JAVELIN_ASSERT(f->pc < f->method->code.size(),
+                       "pc fell off method ", f->method->name);
+        const MethodRuntime *rt = f->rt;
+        const TierCost *tc = &tierCosts_[static_cast<unsigned>(rt->tier)];
+        if (!config_.fastPath) {
+            const std::uint32_t run = f->runLen[f->pc];
+            if (run != 0 && segPrepaid_ == 0) {
+                const std::uint32_t n = std::min(
+                    run, std::min(pollCountdown, quantumCountdown));
+                double stall = 0.0;
+                const std::uint32_t uops =
+                    sumSegmentUops(*f, *tc, f->pc, n, &stall);
+                emitSegmentCharges(cpu, *f, *tc, f->pc, n, uops, stall);
+                segPrepaid_ = n;
+            }
+        }
+        const Instruction *in = &f->method->code[f->pc];
+        if (segPrepaid_ != 0) {
+            --segPrepaid_;
+        } else {
+            if (rt->tier == Tier::Interpreted) {
+                cpu.execute(tc->opExecUops[static_cast<unsigned>(in->op)],
+                            kInterpreterCodeBase +
+                                static_cast<Address>(in->op) * 128,
+                            48);
+                cpu.loadBuffered(f->method->bytecodeAddr +
+                                     f->pc * sizeof(Instruction),
+                                 bcFetchLine_);
+            } else {
+                cpu.execute(tc->opExecUops[static_cast<unsigned>(in->op)],
+                            rt->codeAddr + f->pc * tc->bytesPerBc,
+                            tc->bytesPerBc);
+            }
+            if (((++spillCounter_) & tc->spillMask) == 0)
+                cpu.load(kStackBase + frames_.size() * 256 +
+                         ((f->pc * 8) & 0xf8));
+        }
+        ++executed_;
+        std::int64_t *ir = intRegs_.data() + f->intBase;
+        Address *rr = refRegs_.data() + f->refBase;
+        std::uint32_t next = f->pc + 1;
+
         switch (in->op) {
 #define JAVELIN_OP(name) case Op::name: {
 #define JAVELIN_OP_END \
@@ -876,17 +745,23 @@ javelin_run_done:;
 #define JAVELIN_OP_END_FRAME \
     } \
     break;
-
 #include "jvm/interpreter_ops.inc"
-
-#undef JAVELIN_OP
-#undef JAVELIN_OP_END
 #undef JAVELIN_OP_END_FRAME
+#undef JAVELIN_OP_END
+#undef JAVELIN_OP
         }
-        JAVELIN_TAIL_CHECKS();
-    }
 
-#endif // JAVELIN_THREADED_DISPATCH
+        // Safepoint tail after every bytecode (including Call/Ret/Halt).
+        if (--pollCountdown == 0) {
+            pollCountdown = config_.pollInterval;
+            system_.poll();
+        }
+        if (--quantumCountdown == 0) {
+            quantumCountdown = config_.quantumBytecodes;
+            if (onQuantum)
+                onQuantum();
+        }
+    }
 
     pollCountdown_ = pollCountdown;
     quantumCountdown_ = quantumCountdown;
@@ -898,11 +773,6 @@ javelin_run_done:;
     active_ = false;
     return true;
 }
-
-#undef JAVELIN_TAIL_CHECKS
-#undef JAVELIN_FETCH_CHARGE
-#undef JAVELIN_MAYBE_TRACE
-#undef JAVELIN_FOR_EACH_OP
 
 } // namespace jvm
 } // namespace javelin

@@ -19,13 +19,14 @@
  * (the safepoint mechanism) and yields to service work — the optimizing
  * compiler thread — every scheduling quantum.
  *
- * Dispatch is threaded (computed-goto) where the compiler supports it,
- * with a portable switch fallback (define JAVELIN_NO_COMPUTED_GOTO to
- * force it); both paths share one set of opcode handler bodies
+ * Two engines share one set of opcode handler bodies
  * (interpreter_ops.inc) and drive the cost model from a per-tier,
- * per-opcode precomputed table, so the architectural event stream is
- * identical in either mode and to the original switch loop
- * (DESIGN.md §5d, pinned by tests/test_golden_runs.cc).
+ * per-opcode precomputed table: runTraceFast, the production engine,
+ * and a plain per-op switch loop that is both its exit route (native
+ * work, halt) and, with Config::fastPath off, the per-op oracle. The
+ * architectural event stream is identical in either mode (DESIGN.md
+ * §5f, pinned by tests/test_golden_runs.cc and
+ * tests/test_interp_diff.cc).
  */
 
 #ifndef JAVELIN_JVM_INTERPRETER_HH
@@ -42,11 +43,6 @@
 
 namespace javelin {
 namespace jvm {
-
-/** Default for Interpreter::Config::fastPath: true unless
- *  JAVELIN_INTERP_NO_FAST_PATH is set in the environment (checked
- *  once), mirroring gcFastPathDefault(). */
-bool interpFastPathDefault();
 
 /** Thrown when the collector cannot satisfy an allocation. */
 struct OutOfMemoryError
@@ -82,11 +78,11 @@ class Interpreter
         /**
          * Use the execute-batching fast path (DESIGN.md §5f): maximal
          * straight-line runs of foldable bytecodes execute in one host
-         * loop under one folded charge. Off = the per-op threaded
-         * dispatch, kept as the oracle for tests/test_interp_diff.cc.
-         * Both emit bit-identical architectural events and joules.
+         * loop under one folded charge. Off = the per-op switch loop,
+         * the oracle only tests/test_interp_diff.cc selects. Both emit
+         * bit-identical architectural events and joules.
          */
-        bool fastPath = interpFastPathDefault();
+        bool fastPath = true;
     };
 
     Interpreter(sim::System &system, core::ComponentPort &port,

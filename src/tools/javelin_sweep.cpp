@@ -11,8 +11,8 @@
  *                      stdout)
  *   --checkpoint FILE  journal per-shard completions to FILE
  *   --resume           load FILE and re-run only missing shards
- *   --jobs N           worker threads (default: JAVELIN_JOBS or all
- *                      cores)
+ *   --jobs N           worker threads, a non-negative integer (0 or
+ *                      absent: JAVELIN_JOBS or all cores)
  *   --shard i/N        run only shards with index % N == i (multi-host
  *                      partitioning; each partition needs its own
  *                      checkpoint file)
@@ -100,9 +100,11 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             cfg.resume = true;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            cfg.jobs =
-                static_cast<unsigned>(std::strtoul(argv[++i], nullptr,
-                                                   10));
+            if (!SweepRunner::parseJobs(argv[++i], cfg.jobs)) {
+                std::cerr << "javelin-sweep: bad --jobs (want a "
+                             "non-negative integer, 0 = auto)\n";
+                return 2;
+            }
         } else if (arg == "--shard" && i + 1 < argc) {
             if (!parseShardSpec(argv[++i], cfg.shardIndex,
                                 cfg.shardCount)) {

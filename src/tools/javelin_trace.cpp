@@ -24,8 +24,10 @@
  *                              them via the CSV writer (the
  *                              differential oracle; small N only)
  *     --crash-after-blocks K   tear the K-th block and SIGKILL
- *     --io-uring               request the io_uring backend
  *     --print-rss              print max RSS (KB) on stderr at exit
+ *
+ * Numeric arguments (N, B, K, FROM, TO) are non-negative decimal
+ * integers; anything else is a usage error.
  *
  * The synthetic sample stream is a pure function of the record index,
  * so two `record` runs at any buffer size produce records that decode
@@ -37,6 +39,7 @@
 
 #include <sys/resource.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -66,9 +69,25 @@ usage()
            "[--buffer-bytes B]\n"
            "                            [--out FILE] "
            "[--csv-oracle FILE]\n"
-           "                            [--crash-after-blocks K]\n"
-           "                            [--io-uring] [--print-rss]\n";
+           "                            [--crash-after-blocks K] "
+           "[--print-rss]\n";
     return 2;
+}
+
+/** Parse a non-negative decimal integer: digits only, no sign, no
+ *  trailing characters, no overflow. */
+bool
+parseCount(const char *arg, std::uint64_t &out)
+{
+    if (*arg < '0' || *arg > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(arg, &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
 }
 
 void
@@ -128,7 +147,6 @@ cmdRecord(int argc, char **argv)
     std::uint64_t samples = 100000;
     TraceSpool::Config cfg;
     cfg.path = "trace.jtrc";
-    cfg.backend = TraceSpool::backendFromEnv();
     std::string oraclePath;
     bool printRss = false;
 
@@ -145,18 +163,22 @@ cmdRecord(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--samples" && i + 1 < argc) {
-            samples = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCount(argv[++i], samples))
+                return usage();
         } else if (arg == "--buffer-bytes" && i + 1 < argc) {
-            cfg.bufferBytes = std::strtoull(argv[++i], nullptr, 10);
+            std::uint64_t bytes = 0;
+            if (!parseCount(argv[++i], bytes))
+                return usage();
+            cfg.bufferBytes = bytes;
         } else if (arg == "--out" && i + 1 < argc) {
             cfg.path = argv[++i];
         } else if (arg == "--csv-oracle" && i + 1 < argc) {
             oraclePath = argv[++i];
         } else if (arg == "--crash-after-blocks" && i + 1 < argc) {
-            cfg.crashAfterBlocks =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--io-uring") {
-            cfg.backend = TraceSpool::Backend::IoUring;
+            std::uint64_t blocks = 0;
+            if (!parseCount(argv[++i], blocks))
+                return usage();
+            cfg.crashAfterBlocks = blocks;
         } else if (arg == "--print-rss") {
             printRss = true;
         } else {
@@ -188,9 +210,7 @@ cmdRecord(int argc, char **argv)
         std::cerr << "javelin-trace: wrote " << spool.path() << ": "
                   << spool.recordsAppended() << " records, "
                   << spool.blocksWritten() << " blocks, "
-                  << spool.bytesWritten() << " bytes"
-                  << (spool.usingIoUring() ? " (io_uring)" : "")
-                  << "\n";
+                  << spool.bytesWritten() << " bytes\n";
     }
 
     if (!oraclePath.empty()) {
@@ -289,10 +309,10 @@ main(int argc, char **argv)
         return 0;
     }
     if (cmd == "range") {
-        if (argc != 5)
+        Tick from = 0, to = 0;
+        if (argc != 5 || !parseCount(argv[3], from) ||
+            !parseCount(argv[4], to))
             return usage();
-        const Tick from = std::strtoull(argv[3], nullptr, 10);
-        const Tick to = std::strtoull(argv[4], nullptr, 10);
         TraceReader reader(path);
         writeCsv(std::cout, reader,
                  reader.kind() == tracefmt::RecordKind::Power

@@ -9,12 +9,15 @@
  * silently alters a single architectural event fails here with a
  * field-by-field diff.
  *
- * These values gate the simulator fast path (DESIGN.md §5c/§5d): the
+ * These values gate the simulator fast path (DESIGN.md §5c–§5g): the
  * MRU memos, the SoA way layout, the batched block accessors, the
- * de-virtualized level dispatch, the threaded interpreter dispatch and
- * the batched cycle accounting must reproduce every counter and every
- * joule bit-for-bit. A third, interpreter-tier-only run pins the
- * dispatch rewrite independently of the JIT tiers.
+ * de-virtualized level dispatch, the per-tier interpreter cost tables,
+ * the trace executor and the batched cycle accounting must reproduce
+ * every counter and every joule bit-for-bit. An interpreter-tier-only
+ * run pins the interpreted dispatch cost path independently of the
+ * JIT tiers. Every run here takes the production engines (interpreter
+ * and GC fast paths on); tests/test_interp_diff.cc and
+ * tests/test_gc_diff.cc hold the per-op oracles bit-identical to them.
  *
  * Updating the goldens
  * --------------------
@@ -283,11 +286,11 @@ runKaffe()
 
 /**
  * Interpreter-tier-only run, driven through the Jvm directly (the
- * experiment harness has no tier knob): every bytecode goes through
- * Interpreter::run's interpreted dispatch/cost path, so this golden
- * pins the threaded-dispatch rewrite (DESIGN.md §5d) independently of
- * the compiled tiers. Synthesizes an ExperimentResult so the print /
- * compare machinery above is shared.
+ * experiment harness has no tier knob): every bytecode is charged on
+ * the interpreted tier's dispatch/cost path (handler fetches, operand
+ * stream buffer — DESIGN.md §5d/§5g), so this golden pins that path
+ * independently of the compiled tiers. Synthesizes an ExperimentResult
+ * so the print / compare machinery above is shared.
  */
 harness::ExperimentResult
 runInterp()

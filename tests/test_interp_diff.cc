@@ -4,12 +4,12 @@
  *
  * The execute-batching fast path (DESIGN.md §5f) — folded segment
  * charges, the trace executor, the one-bytecode segment fall-through —
- * must be *bit-identical* to the per-op threaded dispatch it replaces,
- * under every compilation tier, not merely statistically close. This
- * suite runs full JVM workloads twice, once with
- * Interpreter::Config::fastPath on (the batched trace executor) and
- * once off (the per-op oracle, the JAVELIN_INTERP_NO_FAST_PATH mode),
- * and asserts exact equality of:
+ * must be *bit-identical* to the per-op switch loop it replaces, under
+ * every compilation tier, not merely statistically close. This suite
+ * runs full JVM workloads twice, once with
+ * Interpreter::Config::fastPath on (the batched trace executor, the
+ * production engine) and once off (the per-op oracle, which nothing
+ * but this suite selects), and asserts exact equality of:
  *
  *  - every hardware performance counter (cycles and stall cycles
  *    through their double accumulators, so the floating-point
@@ -20,15 +20,19 @@
  *    the tick a task came due would shift this trace),
  *  - the final heap image byte-for-byte (the call stack is empty at
  *    exit, so the return value + bytecode count pin the stack
- *    history), and
- *  - the semantic outcome and all collector statistics.
+ *    history),
+ *  - the semantic outcome and all collector statistics, and
+ *  - in service mode, the number of slices the requests took.
  *
  * The matrix fuzzes across workloads, heap pressures and all four
  * tiers: pure interpretation, baseline-compiled, Kaffe-style JIT, and
  * the adaptive configuration whose quantum callbacks retier methods
- * mid-trace. A final golden test pins one batched run's outcome to
- * hard constants so that a lockstep bug that changes both modes the
- * same way is still caught (regenerate with JAVELIN_GOLDEN_PRINT=1).
+ * mid-trace. It also covers the Kaffe personality on the PXA255 with
+ * the incremental collector, and sliced service-mode execution that
+ * yields to the scheduler every quantum (the co-tenancy path). A final
+ * golden test pins one batched run's outcome to hard constants so that
+ * a lockstep bug that changes both modes the same way is still caught
+ * (regenerate with JAVELIN_GOLDEN_PRINT=1).
  */
 
 #include <gtest/gtest.h>
@@ -48,13 +52,26 @@ using namespace javelin::jvm;
 
 namespace {
 
+/** Platform, VM and drive configuration of one rig. */
+struct RigSpec
+{
+    sim::PlatformSpec platform = sim::p6Spec();
+    VmKind vm = VmKind::Jikes;
+    Tier tier = Tier::Baseline;
+    bool adaptive = false;
+    CollectorKind collector = CollectorKind::GenCopy;
+    std::uint64_t heapBytes = 512 * kKiB;
+    /** Requests served in sliced service mode (beginService,
+     *  startRequest, runRequestSlice yielding every quantum); 0 runs
+     *  the program once through Jvm::run(). */
+    unsigned serviceRequests = 0;
+};
+
 /** One full simulated platform + JVM run in a chosen dispatch mode. */
 struct InterpRig
 {
-    InterpRig(const Program &program, Tier tier, bool adaptive,
-              CollectorKind collector, std::uint64_t heap_bytes,
-              bool fast)
-        : system(sim::p6Spec())
+    InterpRig(const Program &program, const RigSpec &spec, bool fast)
+        : system(spec.platform)
     {
         // Fires at poll points only: its tick trace IS the observable
         // poll schedule (same probe discipline as test_gc_diff).
@@ -62,20 +79,33 @@ struct InterpRig
             pollTicks.push_back(t);
         });
         JvmConfig cfg;
-        cfg.kind = VmKind::Jikes;
-        cfg.collector = collector;
-        cfg.heapBytes = heap_bytes;
-        cfg.interp.compileOnInvoke = tier;
+        cfg.kind = spec.vm;
+        cfg.collector = spec.collector;
+        cfg.heapBytes = spec.heapBytes;
+        cfg.interp.compileOnInvoke = spec.tier;
         cfg.interp.fastPath = fast;
-        cfg.adaptiveOptimization = adaptive;
+        cfg.adaptiveOptimization = spec.adaptive;
         vm = std::make_unique<Jvm>(system, program, cfg);
-        run = vm->run();
+        if (spec.serviceRequests == 0) {
+            run = vm->run();
+            return;
+        }
+        vm->setYieldEachQuantum(true);
+        vm->beginService();
+        for (unsigned r = 0; r < spec.serviceRequests; ++r) {
+            vm->startRequest();
+            do
+                ++slices;
+            while (!vm->runRequestSlice());
+        }
+        run = vm->endService();
     }
 
     sim::System system;
     std::unique_ptr<Jvm> vm;
     RunResult run;
     std::vector<Tick> pollTicks;
+    std::uint64_t slices = 0;
 };
 
 #define EXPECT_COUNTER_EQ(field)                                          \
@@ -108,6 +138,7 @@ expectIdentical(InterpRig &fast, InterpRig &ref)
     EXPECT_EQ(fast.system.memoryJoules(), ref.system.memoryJoules());
 
     EXPECT_EQ(fast.pollTicks, ref.pollTicks) << "poll schedule diverged";
+    EXPECT_EQ(fast.slices, ref.slices) << "yield schedule diverged";
 
     // Semantics: program outcome and the full allocation/GC history.
     EXPECT_EQ(fast.run.returnValue, ref.run.returnValue);
@@ -130,6 +161,15 @@ expectIdentical(InterpRig &fast, InterpRig &ref)
     EXPECT_EQ(0, std::memcmp(ha.ptr(ha.base()), hb.ptr(hb.base()),
                              ha.size()))
         << "heap images diverged";
+}
+
+/** Run spec in both modes and hold them bit-identical. */
+void
+expectModesIdentical(const Program &program, const RigSpec &spec)
+{
+    InterpRig fast(program, spec, true);
+    InterpRig ref(program, spec, false);
+    expectIdentical(fast, ref);
 }
 
 Program
@@ -170,11 +210,10 @@ TEST_P(InterpDiff, FastPathBitIdenticalAcrossTiers)
             SCOPED_TRACE(testing::Message()
                          << tc.label << " volume 1/"
                          << static_cast<int>(1.0 / volume));
-            InterpRig fast(program, tc.tier, tc.adaptive,
-                           CollectorKind::GenCopy, 512 * kKiB, true);
-            InterpRig ref(program, tc.tier, tc.adaptive,
-                          CollectorKind::GenCopy, 512 * kKiB, false);
-            expectIdentical(fast, ref);
+            RigSpec spec;
+            spec.tier = tc.tier;
+            spec.adaptive = tc.adaptive;
+            expectModesIdentical(program, spec);
         }
     }
 }
@@ -184,10 +223,46 @@ TEST_P(InterpDiff, FastPathBitIdenticalAcrossTiers)
 TEST_P(InterpDiff, FastPathBitIdenticalUnderMarkSweep)
 {
     const Program program = smallWorkload(GetParam(), 1.0 / 16.0);
-    InterpRig fast(program, Tier::Baseline, true, CollectorKind::MarkSweep,
-                   768 * kKiB, true);
-    InterpRig ref(program, Tier::Baseline, true, CollectorKind::MarkSweep,
-                  768 * kKiB, false);
+    RigSpec spec;
+    spec.adaptive = true;
+    spec.collector = CollectorKind::MarkSweep;
+    spec.heapBytes = 768 * kKiB;
+    expectModesIdentical(program, spec);
+}
+
+/** The Kaffe personality on the embedded platform: lazy system-class
+ *  loading through the JIT, the incremental tri-colour collector's
+ *  write barrier and increments, and the L2-less PXA255 hierarchy. */
+TEST_P(InterpDiff, FastPathBitIdenticalKaffePxa255)
+{
+    const Program program = smallWorkload(GetParam(), 1.0 / 16.0);
+    RigSpec spec;
+    spec.platform = sim::pxa255Spec();
+    spec.vm = VmKind::Kaffe;
+    spec.tier = Tier::Jitted;
+    spec.collector = CollectorKind::IncrementalMS;
+    spec.heapBytes = 768 * kKiB;
+    InterpRig fast(program, spec, true);
+    InterpRig ref(program, spec, false);
+    EXPECT_FALSE(fast.run.outOfMemory);
+    EXPECT_GT(fast.run.gc.collections, 0u);
+    expectIdentical(fast, ref);
+}
+
+/** Sliced service mode (the co-tenancy drive, DESIGN.md §11): every
+ *  quantum yields out of the trace executor and resumes in a fresh
+ *  runSlice, across several requests of one warm VM. */
+TEST_P(InterpDiff, FastPathBitIdenticalInSlicedServiceMode)
+{
+    const Program program = smallWorkload(GetParam(), 1.0 / 32.0);
+    RigSpec spec;
+    spec.adaptive = true;
+    spec.collector = CollectorKind::GenMS;
+    spec.serviceRequests = 2;
+    InterpRig fast(program, spec, true);
+    InterpRig ref(program, spec, false);
+    EXPECT_GT(fast.slices, 2 * spec.serviceRequests)
+        << "requests never yielded";
     expectIdentical(fast, ref);
 }
 
@@ -210,8 +285,9 @@ INSTANTIATE_TEST_SUITE_P(Workloads, InterpDiff,
 TEST(InterpGolden, BatchedRunPinned)
 {
     const Program program = smallWorkload("_202_jess", 1.0 / 16.0);
-    InterpRig rig(program, Tier::Baseline, true, CollectorKind::GenCopy,
-                  512 * kKiB, true);
+    RigSpec spec;
+    spec.adaptive = true;
+    InterpRig rig(program, spec, true);
     const sim::PerfCounters &c = rig.system.counters();
 
     if (std::getenv("JAVELIN_GOLDEN_PRINT") != nullptr) {

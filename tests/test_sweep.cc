@@ -159,6 +159,23 @@ TEST(SweepRunner, ResolveJobsHonorsEnvironment)
     EXPECT_EQ(SweepRunner::resolveJobs(0), 3u);
     ::setenv("JAVELIN_JOBS", "not-a-number", 1);
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
+    // A sign is invalid, not negated into ~2^32 workers.
+    ::setenv("JAVELIN_JOBS", "-1", 1);
+    const unsigned negative = SweepRunner::resolveJobs(0);
     ::unsetenv("JAVELIN_JOBS");
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
+    EXPECT_EQ(negative, SweepRunner::resolveJobs(0));
+}
+
+TEST(SweepRunner, ParseJobsAcceptsDigitsOnly)
+{
+    unsigned jobs = 7;
+    EXPECT_TRUE(SweepRunner::parseJobs("0", jobs));
+    EXPECT_EQ(jobs, 0u);
+    EXPECT_TRUE(SweepRunner::parseJobs("4294967295", jobs));
+    EXPECT_EQ(jobs, 4294967295u);
+    for (const char *bad : {"", "-1", "+1", " 1", "1x", "1.5", "abc",
+                            "4294967296", "99999999999999999999999"})
+        EXPECT_FALSE(SweepRunner::parseJobs(bad, jobs)) << bad;
+    EXPECT_EQ(jobs, 4294967295u) << "a rejected parse must not write";
 }
