@@ -2,7 +2,8 @@
 # Tier-1 gate: configure, build, and run the full test suite (the
 # per-op interpreter and GC oracles run inside it, in-process, as the
 # reference side of tests/test_interp_diff.cc and tests/test_gc_diff.cc);
-# then the CLI smokes; then the same suite once more in a Debug
+# then the repository benchmark's own tests (perfbench/); then the CLI
+# smokes; then the same suite once more in a Debug
 # ASan+UBSan build; then the perf gate: Release builds of
 # bench/micro_sim, bench/micro_gc, and bench/micro_trace whose gated
 # throughput metrics must stay within 10 % of the committed baselines
@@ -41,6 +42,14 @@ fi
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+# --- the repository benchmark's own tests (perfbench/README.md): its
+# --- traced and detached pipelines must reproduce runExperiment bit
+# --- for bit, and run.py must emit every metric BENCHMARK.json names.
+cmake -S perfbench -B .bench_build/perfbench
+cmake --build .bench_build/perfbench -j --target perfbench_tests
+.bench_build/perfbench/perfbench_tests
+python3 perfbench/test_run.py
 
 # --- kill-and-resume smoke: SIGKILL javelin-sweep mid-run via the
 # --- JAVELIN_JOB_CRASH_AFTER hook, resume from the journal, and
@@ -156,7 +165,7 @@ echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 
 # --- argument smoke: a malformed count must be a usage error (exit 2),
 # --- never silently parsed into some other number ("1e6" as 1, "-1" as
-# --- 2^32-1).
+# --- 2^32-1, the shard count "-4" as 2^64-4).
 expect_usage_error() {
     "$@" > /dev/null 2>&1 && rc=0 || rc=$?
     if [ "$rc" -ne 2 ]; then
@@ -167,6 +176,7 @@ expect_usage_error() {
 expect_usage_error "$TRACE" record --samples 1e6 \
     --out "$TRACE_DIR/bad.jtrc"
 expect_usage_error "$SWEEP" "$SMOKE" --jobs -1
+expect_usage_error "$SWEEP" "$SMOKE" --shard 1/-4
 echo "argument smoke: malformed counts rejected with exit 2"
 
 # --- sanitizer gate (skippable for quick iteration): the trace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -237,8 +238,15 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
 
     std::size_t crashAfter = config_.crashAfter;
     if (crashAfter == 0) {
-        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER"))
-            crashAfter = std::strtoull(env, nullptr, 10);
+        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER")) {
+            std::uint64_t parsed = 0;
+            if (SweepRunner::parseCount(env, parsed))
+                crashAfter = parsed;
+            else
+                std::cerr << "javelin: ignoring invalid "
+                             "JAVELIN_JOB_CRASH_AFTER='"
+                          << env << "'\n";
+        }
     }
 
     JobReport report;

@@ -122,7 +122,8 @@ class JobEngine
         /**
          * Raise SIGKILL after this many commits (0 = off). The
          * JAVELIN_JOB_CRASH_AFTER environment variable sets this when
-         * the config leaves it 0.
+         * the config leaves it 0; a value that is not all digits
+         * (SweepRunner::parseCount) warns and is ignored.
          */
         std::size_t crashAfter = 0;
         /**

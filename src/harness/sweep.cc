@@ -1,6 +1,7 @@
 #include "harness/sweep.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -84,15 +85,26 @@ SweepRunner::resolveJobs(unsigned requested)
 }
 
 bool
-SweepRunner::parseJobs(const char *text, unsigned &jobs)
+SweepRunner::parseCount(const char *text, std::uint64_t &out)
 {
     // strtoull alone would skip whitespace and negate a leading '-'
     // ("-1" -> ~2^64), so require a digit first.
     if (*text < '0' || *text > '9')
         return false;
+    errno = 0;
     char *end = nullptr;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (*end != '\0' || v > std::numeric_limits<unsigned>::max())
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+SweepRunner::parseJobs(const char *text, unsigned &jobs)
+{
+    std::uint64_t v = 0;
+    if (!parseCount(text, v) || v > std::numeric_limits<unsigned>::max())
         return false;
     jobs = static_cast<unsigned>(v);
     return true;

@@ -113,10 +113,15 @@ class SweepRunner
     static unsigned resolveJobs(unsigned requested);
 
     /**
-     * Parse a worker count as JAVELIN_JOBS and javelin-sweep --jobs
-     * spell it: decimal digits only (a sign is invalid, not negated),
-     * fitting an unsigned; 0 is accepted. False on anything else.
+     * Parse a count as the JAVELIN_* variables and javelin-sweep's
+     * numeric arguments spell it: decimal digits only (a sign or a
+     * leading blank is invalid, not negated or skipped), fitting a
+     * std::uint64_t. False on anything else, leaving `out` untouched.
      */
+    static bool parseCount(const char *text, std::uint64_t &out);
+
+    /** parseCount for a worker count, which must also fit an
+     *  unsigned; 0 is accepted. */
     static bool parseJobs(const char *text, unsigned &jobs);
 
     /**

@@ -3,6 +3,14 @@
  * The simulated Java heap: a contiguous range of simulated addresses
  * backed by host memory, carved into Spaces by the collectors.
  *
+ * The backing store is one private anonymous mapping. The kernel hands
+ * it out as zero pages, so a fresh heap reads all-zero without boot
+ * writing a byte of it: only pages the run touches become resident,
+ * and destruction returns them to the OS instead of to a malloc arena
+ * (which would keep a finished sweep shard's heap resident in its
+ * worker thread). The mapping has no sanitizer redzones; the range
+ * asserts below are its bounds check.
+ *
  * Heap accessors here are *untimed* — they move bytes only. All cache
  * and cycle accounting is done by the callers (ObjectModel, allocators,
  * collectors) through the CpuModel, so the timing and the data paths
@@ -15,7 +23,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "jvm/address.hh"
 #include "util/logging.hh"
@@ -24,16 +31,23 @@ namespace javelin {
 namespace jvm {
 
 /**
- * Backing store for the simulated heap.
+ * Backing store for the simulated heap. Not copyable or movable:
+ * ObjectModel, GcEnv and the collectors hold references to it.
  */
 class Heap
 {
   public:
+    /** Map `bytes` of zeroed memory; throws std::bad_alloc when the
+     *  mapping fails. */
     explicit Heap(std::uint64_t bytes);
+    ~Heap();
+
+    Heap(const Heap &) = delete;
+    Heap &operator=(const Heap &) = delete;
 
     Address base() const { return kHeapBase; }
-    std::uint64_t size() const { return mem_.size(); }
-    Address end() const { return kHeapBase + mem_.size(); }
+    std::uint64_t size() const { return size_; }
+    Address end() const { return kHeapBase + size_; }
 
     bool
     contains(Address addr) const
@@ -46,14 +60,14 @@ class Heap
     ptr(Address addr)
     {
         JAVELIN_ASSERT(contains(addr), "heap access out of range: ", addr);
-        return mem_.data() + (addr - kHeapBase);
+        return mem_ + (addr - kHeapBase);
     }
 
     const std::uint8_t *
     ptr(Address addr) const
     {
         JAVELIN_ASSERT(contains(addr), "heap access out of range: ", addr);
-        return mem_.data() + (addr - kHeapBase);
+        return mem_ + (addr - kHeapBase);
     }
 
     std::uint64_t
@@ -101,7 +115,8 @@ class Heap
     }
 
   private:
-    std::vector<std::uint8_t> mem_;
+    std::uint64_t size_;
+    std::uint8_t *mem_ = nullptr;
 };
 
 /**

@@ -34,7 +34,6 @@
  * stderr with its shard key); 2 usage, scenario, or checkpoint errors.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -68,13 +67,14 @@ parseShardSpec(const std::string &spec, std::size_t &index,
     const std::size_t slash = spec.find('/');
     if (slash == std::string::npos)
         return false;
-    char *end = nullptr;
-    index = std::strtoull(spec.c_str(), &end, 10);
-    if (end != spec.c_str() + slash)
+    std::uint64_t i = 0;
+    std::uint64_t n = 0;
+    if (!SweepRunner::parseCount(spec.substr(0, slash).c_str(), i) ||
+        !SweepRunner::parseCount(spec.c_str() + slash + 1, n) ||
+        n == 0 || i >= n)
         return false;
-    count = std::strtoull(spec.c_str() + slash + 1, &end, 10);
-    if (*end != '\0' || count == 0 || index >= count)
-        return false;
+    index = i;
+    count = n;
     return true;
 }
 

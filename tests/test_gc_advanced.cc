@@ -277,9 +277,11 @@ TEST(IncMS, BarrierStormDuringMarkingKeepsGraph)
     EXPECT_GT(gc->stats().majorCollections, 0u);
     EXPECT_GT(gc->stats().barrierHits, 0u);
     // Everything reachable is intact.
-    for (const Address r : f.host.roots)
-        if (r != kNull)
+    for (const Address r : f.host.roots) {
+        if (r != kNull) {
             EXPECT_GE(f.om.scalarRaw(r, 0), 0);
+        }
+    }
 }
 
 TEST(IncMS, ExplicitFullCycleReclaimsEverything)

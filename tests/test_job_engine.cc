@@ -254,6 +254,30 @@ TEST(JobEngineDeathTest, CrashAfterEnvRaisesSigkill)
     EXPECT_EQ(reportBytes(resumed), cleanReportBytes(scenario, tasks));
 }
 
+TEST(JobEngineDeathTest, MalformedCrashAfterEnvIsIgnored)
+{
+    // Digits only: a sign, a blank or junk warns and leaves the hook
+    // off ("+2" and " 2" used to crash after two commits, "-1" meant
+    // 2^64-1).
+    const Scenario scenario = testScenario();
+    const auto tasks = expandScenario(scenario);
+    for (const char *bad : {"+2", " 2", "-1", "2x", "abc"}) {
+        EXPECT_EXIT(
+            {
+                setenv("JAVELIN_JOB_CRASH_AFTER", bad, 1);
+                JobEngine::Config cfg;
+                cfg.jobs = 1;
+                cfg.execute = syntheticResult;
+                const JobReport report = JobEngine(cfg).run(
+                    tasks, scenario.name, scenarioHash(scenario));
+                std::exit(report.executed == tasks.size() ? 0 : 1);
+            },
+            testing::ExitedWithCode(0),
+            "ignoring invalid JAVELIN_JOB_CRASH_AFTER")
+            << bad;
+    }
+}
+
 TEST(JobEngineDeathTest, ConfigCrashAfterRaisesSigkill)
 {
     const Scenario scenario = testScenario();

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <new>
+#include <type_traits>
 
 #include "jvm/freelist.hh"
 #include "jvm/heap.hh"
@@ -18,7 +25,22 @@
 using namespace javelin;
 using namespace javelin::jvm;
 
+static_assert(!std::is_copy_constructible_v<Heap>);
+
 namespace {
+
+/** Resident set size in bytes (/proc/self/statm field 2 times the page
+ *  size), or -1 when statm cannot be read. */
+std::int64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t pages = 0;
+    std::int64_t resident = 0;
+    if (!(statm >> pages >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
 
 std::vector<ClassInfo>
 testClasses()
@@ -80,6 +102,43 @@ TEST(Heap, CopyAndZero)
     EXPECT_EQ(heap.read64(kHeapBase + 128), 99u);
     heap.zero(kHeapBase + 128, 64);
     EXPECT_EQ(heap.read64(kHeapBase + 128), 0u);
+}
+
+TEST(Heap, FreshHeapReadsZero)
+{
+    const std::uint64_t bytes = 64 * kMiB;
+    Heap heap(bytes);
+    EXPECT_EQ(heap.size(), bytes);
+    EXPECT_EQ(heap.read64(kHeapBase), 0u);
+    EXPECT_EQ(heap.read64(kHeapBase + bytes / 2), 0u);
+    EXPECT_EQ(heap.read64(kHeapBase + bytes - 8), 0u);
+}
+
+TEST(Heap, OnlyTouchedPagesAreResident)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "ASan shadow pages add to the resident set";
+#endif
+    const std::int64_t before = residentBytes();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/statm is unreadable";
+    const std::int64_t mib = kMiB;
+    {
+        Heap heap(256 * kMiB);
+        EXPECT_LT(residentBytes() - before, 4 * mib);
+        const std::uint64_t page = sysconf(_SC_PAGESIZE);
+        for (std::uint64_t off = 0; off < 8 * kMiB; off += page)
+            *heap.ptr(kHeapBase + off) = 1;
+        EXPECT_GE(residentBytes() - before, 7 * mib);
+    }
+    EXPECT_LT(std::abs(residentBytes() - before), 1 * mib);
+}
+
+TEST(Heap, FailedMappingThrowsBadAlloc)
+{
+    // Larger than any user address space: the mapping must fail, and
+    // the failure reach the caller (JobEngine journals the shard).
+    EXPECT_THROW(Heap(std::uint64_t(1) << 62), std::bad_alloc);
 }
 
 TEST(Space, BumpAllocation)

@@ -162,8 +162,9 @@ TEST(ScaledPlatform, GcPowerRankFlipsAcrossPlatforms)
     ASSERT_TRUE(p6.ok());
     const auto &p6gc = p6.attribution.powerOf(core::ComponentId::Gc);
     const auto &p6app = p6.attribution.powerOf(core::ComponentId::App);
-    if (p6gc.samples > 3)
+    if (p6gc.samples > 3) {
         EXPECT_LT(p6gc.avgCpuWatts(), p6app.avgCpuWatts());
+    }
 
     cfg.platform = sim::PlatformKind::Pxa255;
     const auto pxa = harness::runExperiment(
@@ -171,6 +172,7 @@ TEST(ScaledPlatform, GcPowerRankFlipsAcrossPlatforms)
     ASSERT_TRUE(pxa.ok());
     const auto &gc = pxa.attribution.powerOf(core::ComponentId::Gc);
     const auto &app = pxa.attribution.powerOf(core::ComponentId::App);
-    if (gc.samples > 3)
+    if (gc.samples > 3) {
         EXPECT_GT(gc.avgCpuWatts(), app.avgCpuWatts() * 0.85);
+    }
 }

@@ -179,3 +179,17 @@ TEST(SweepRunner, ParseJobsAcceptsDigitsOnly)
         EXPECT_FALSE(SweepRunner::parseJobs(bad, jobs)) << bad;
     EXPECT_EQ(jobs, 4294967295u) << "a rejected parse must not write";
 }
+
+TEST(SweepRunner, ParseCountAcceptsDigitsOnly)
+{
+    std::uint64_t n = 7;
+    EXPECT_TRUE(SweepRunner::parseCount("0", n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(SweepRunner::parseCount("18446744073709551615", n));
+    EXPECT_EQ(n, 18446744073709551615ULL);
+    for (const char *bad : {"", "-4", "+1", " 1", "1 ", "1/4", "abc",
+                            "18446744073709551616"})
+        EXPECT_FALSE(SweepRunner::parseCount(bad, n)) << bad;
+    EXPECT_EQ(n, 18446744073709551615ULL)
+        << "a rejected parse must not write";
+}
