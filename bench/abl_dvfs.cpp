@@ -60,8 +60,8 @@ main(int argc, char **argv)
         for (auto &task : tasks)
             task.config.traceSpoolDir =
                 traceDir + "/" + shardKey(task);
-    const auto outcomes = runSweep(tasks);
-    if (reportSweepFailures(std::cerr, tasks, outcomes) > 0)
+    const auto results = SweepRunner().run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
         return 1;
 
     std::size_t taskIdx = 0;
@@ -69,9 +69,8 @@ main(int argc, char **argv)
         Table t({"point", "freq(GHz)", "volts", "time(ms)", "energy(J)",
                  "EDP(mJ*s)"});
         for (std::size_t i = 0; i < spec.dvfsPoints.size(); ++i) {
-            const auto &outcome = outcomes[taskIdx++];
-            const auto &res = outcome.result;
-            if (!outcome.ok())
+            const auto &res = results[taskIdx++];
+            if (!res.ok())
                 continue;
             t.beginRow();
             t.cell(static_cast<std::int64_t>(i));

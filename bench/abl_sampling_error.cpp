@@ -199,12 +199,12 @@ main()
         cfg.daqPeriod = us * kTicksPerMicro;
         tasks.push_back({cfg, workloads::benchmark("_213_javac")});
     }
-    const auto outcomes = runSweep(tasks);
+    const auto runs = SweepRunner().run(tasks);
 
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
         const Tick us = periodsUs[i];
-        const auto &res = outcomes[i].result;
-        if (!outcomes[i].ok())
+        const auto &res = runs[i];
+        if (!res.ok())
             continue;
 
         const auto errOf = [&](core::ComponentId id) {

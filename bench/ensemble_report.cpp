@@ -16,10 +16,8 @@
  * fixed seed list at any JAVELIN_JOBS setting.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "harness/ensemble.hh"
 #include "harness/scenario.hh"
@@ -29,16 +27,35 @@ using namespace javelin::harness;
 
 namespace {
 
-std::vector<std::uint64_t>
-parseSeeds(const std::string &csv)
+int
+usage()
 {
-    std::vector<std::uint64_t> seeds;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        if (!item.empty())
-            seeds.push_back(std::stoull(item));
-    return seeds;
+    std::cerr << "usage: ensemble_report [--out FILE] "
+                 "[--seeds 1,2,...] [--quick]\n"
+                 "                       [--scenario FILE] "
+                 "[--scenario-out FILE]\n";
+    return 2;
+}
+
+/**
+ * Parse a comma-separated seed list; every item must be a count
+ * (SweepRunner::parseCount), so "", "1,,2", "-1" and "abc" all fail.
+ */
+bool
+parseSeeds(const std::string &csv, std::vector<std::uint64_t> &seeds)
+{
+    seeds.clear();
+    for (std::size_t pos = 0;;) {
+        const std::size_t comma = csv.find(',', pos);
+        std::uint64_t seed = 0;
+        if (!SweepRunner::parseCount(
+                csv.substr(pos, comma - pos).c_str(), seed))
+            return false;
+        seeds.push_back(seed);
+        if (comma == std::string::npos)
+            return true;
+        pos = comma + 1;
+    }
 }
 
 } // namespace
@@ -56,7 +73,11 @@ main(int argc, char **argv)
         if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (arg == "--seeds" && i + 1 < argc) {
-            cfg.seeds = parseSeeds(argv[++i]);
+            if (!parseSeeds(argv[++i], cfg.seeds)) {
+                std::cerr << "ensemble_report: bad --seeds (want "
+                             "comma-separated non-negative integers)\n";
+                return usage();
+            }
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--scenario" && i + 1 < argc) {
@@ -64,16 +85,8 @@ main(int argc, char **argv)
         } else if (arg == "--scenario-out" && i + 1 < argc) {
             scenarioOutPath = argv[++i];
         } else {
-            std::cerr << "usage: ensemble_report [--out FILE] "
-                         "[--seeds 1,2,...] [--quick]\n"
-                         "                       [--scenario FILE] "
-                         "[--scenario-out FILE]\n";
-            return 2;
+            return usage();
         }
-    }
-    if (cfg.seeds.empty()) {
-        std::cerr << "ensemble_report: empty seed list\n";
-        return 2;
     }
     if (quick)
         cfg.seeds.resize(std::min<std::size_t>(cfg.seeds.size(), 3));

@@ -72,15 +72,15 @@ main(int argc, char **argv)
                 traceDir + "/" + shardKey(task);
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig07 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
-    if (reportSweepFailures(std::cerr, tasks, outcomes) > 0)
+    const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
         return 1;
 
     std::vector<std::vector<ExperimentResult>> rows;
-    for (std::size_t i = 0; i < outcomes.size(); i += heaps.size()) {
+    for (std::size_t i = 0; i < results.size(); i += heaps.size()) {
         std::vector<ExperimentResult> row;
         for (std::size_t h = 0; h < heaps.size(); ++h)
-            row.push_back(outcomes[i + h].result);
+            row.push_back(results[i + h]);
         rows.push_back(std::move(row));
     }
 

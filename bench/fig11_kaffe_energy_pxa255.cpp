@@ -43,12 +43,11 @@ main()
     }
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig11 sweep");
-    const auto outcomes = SweepRunner(rc).run(tasks);
+    const auto results = SweepRunner(rc).run(tasks);
 
-    for (const auto &outcome : outcomes) {
-        const auto &res = outcome.result;
+    for (const auto &res : results) {
         rows.push_back(res);
-        if (!outcome.ok())
+        if (!res.ok())
             continue;
         clShare.add(res.attribution.energyFraction(
             core::ComponentId::ClassLoader));

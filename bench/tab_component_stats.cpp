@@ -56,7 +56,7 @@ main()
     }
     harness::SweepRunner::Config rc;
     rc.progress = harness::consoleProgress("tab sweep");
-    const auto outcomes = harness::SweepRunner(rc).run(tasks);
+    const auto results = harness::SweepRunner(rc).run(tasks);
 
     const std::size_t perCollector = benches.size() * 2;
     std::size_t taskIdx = 0;
@@ -64,10 +64,9 @@ main()
         RunningStat gcW, gcIpc, gcMiss, appW, appIpc, appMiss, memShare;
         RunningStat gc32, gc128;
         for (std::size_t i = 0; i < perCollector; ++i) {
-            const auto &outcome = outcomes[taskIdx++];
-            const auto &res = outcome.result;
+            const auto &res = results[taskIdx++];
             const std::uint32_t heap = res.config.heapNominalMB;
-            if (!outcome.ok())
+            if (!res.ok())
                 continue;
             const auto &gc =
                 res.attribution.powerOf(core::ComponentId::Gc);

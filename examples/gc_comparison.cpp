@@ -47,7 +47,7 @@ main(int argc, char **argv)
     }
     SweepRunner::Config rc;
     rc.progress = consoleProgress("gc comparison");
-    const auto outcomes = SweepRunner(rc).run(tasks);
+    const auto results = SweepRunner(rc).run(tasks);
 
     std::vector<std::vector<ExperimentResult>> rows;
     double bestEdp = 1e300;
@@ -55,7 +55,7 @@ main(int argc, char **argv)
     for (std::size_t c = 0; c < collectors.size(); ++c) {
         std::vector<ExperimentResult> row;
         for (std::size_t h = 0; h < heaps.size(); ++h) {
-            row.push_back(outcomes[c * heaps.size() + h].result);
+            row.push_back(results[c * heaps.size() + h]);
             const auto &r = row.back();
             if (r.ok() && r.edp() < bestEdp) {
                 bestEdp = r.edp();

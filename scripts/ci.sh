@@ -165,7 +165,8 @@ echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 
 # --- argument smoke: a malformed count must be a usage error (exit 2),
 # --- never silently parsed into some other number ("1e6" as 1, "-1" as
-# --- 2^32-1, the shard count "-4" as 2^64-4).
+# --- 2^32-1, the shard count "-4" as 2^64-4, the seed "-1" as 2^64-1)
+# --- or thrown out of main ("abc"). Each exits before any experiment.
 expect_usage_error() {
     "$@" > /dev/null 2>&1 && rc=0 || rc=$?
     if [ "$rc" -ne 2 ]; then
@@ -177,6 +178,8 @@ expect_usage_error "$TRACE" record --samples 1e6 \
     --out "$TRACE_DIR/bad.jtrc"
 expect_usage_error "$SWEEP" "$SMOKE" --jobs -1
 expect_usage_error "$SWEEP" "$SMOKE" --shard 1/-4
+expect_usage_error build/bench/ensemble_report --seeds abc
+expect_usage_error build/bench/ensemble_report --seeds -1
 echo "argument smoke: malformed counts rejected with exit 2"
 
 # --- sanitizer gate (skippable for quick iteration): the trace
@@ -214,11 +217,6 @@ for i in 1 2 3; do
         --benchmark_min_time=1 > "BENCH_trace_$i.json"
 done
 if command -v python3 > /dev/null 2>&1; then
-    # Trajectory context (non-gating): speedup over the pre-fast-path
-    # simulator kept from before DESIGN.md §5c landed.
-    python3 scripts/compare_bench.py bench/BENCH_sim.pre_fast_path.json \
-        BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
-        --max-regress 1.0
     # The gates: no more than 10 % below the committed baselines.
     python3 scripts/compare_bench.py bench/BENCH_sim.baseline.json \
         BENCH_sim_1.json BENCH_sim_2.json BENCH_sim_3.json \
@@ -256,18 +254,6 @@ if command -v python3 > /dev/null 2>&1; then
 else
     echo "ci.sh: python3 not found, skipping benchmark comparison" >&2
 fi
-
-# --- bench history: archive one full JSON run of each suite into the
-# --- local javelin-kv result store, keyed by UTC timestamp. The store
-# --- is gitignored — per-host trend data for javelin-kv get/keys, not
-# --- a gate.
-KV=build/src/tools/javelin-kv
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-for suite in sim gc trace; do
-    "$KV" put BENCH_HISTORY.kv "bench/$stamp/$suite" \
-        "@BENCH_${suite}_1.json"
-done
-echo "bench history: archived sim/gc/trace under bench/$stamp"
 
 # --- statistical energy gate: the pinned-seed ensemble must show no
 # --- statistically significant energy/EDP regression against the

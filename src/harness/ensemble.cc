@@ -1,7 +1,6 @@
 #include "harness/ensemble.hh"
 
 #include <cmath>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -107,16 +106,7 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
     const std::size_t nSeeds = config_.seeds.size();
     const std::size_t total = cells.size() * nSeeds;
 
-    struct MemberOutcome
-    {
-        std::vector<double> metrics;
-        bool ok = false;
-        std::string error;
-    };
-    std::vector<MemberOutcome> members(total);
-
-    std::mutex progressMutex;
-    std::size_t done = 0;
+    std::vector<ExperimentResult> members(total);
     SweepRunner::parallelFor(
         total,
         [&](std::size_t flat) {
@@ -131,30 +121,9 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
             if (config_.senseNoiseVoltsRms > 0.0)
                 task.config.senseNoiseVoltsRms =
                     config_.senseNoiseVoltsRms;
-
-            auto &slot = members[flat];
-            try {
-                const ExperimentResult res =
-                    runExperiment(task.config, task.profile);
-                if (res.ok()) {
-                    slot.metrics = ensembleMetrics(res);
-                    slot.ok = true;
-                } else {
-                    slot.error = res.run.outOfMemory
-                                     ? "out of memory"
-                                     : "stack overflow";
-                }
-            } catch (const std::exception &e) {
-                slot.error = e.what();
-            } catch (...) {
-                slot.error = "unknown exception";
-            }
-            if (config_.progress) {
-                std::lock_guard<std::mutex> lock(progressMutex);
-                config_.progress(++done, total);
-            }
+            members[flat] = SweepRunner::runTask(task, nullptr);
         },
-        config_.jobs);
+        config_.jobs, config_.progress);
 
     const auto &names = ensembleMetricNames();
     std::vector<EnsembleCellResult> results(cells.size());
@@ -173,15 +142,16 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
         for (std::size_t m = 0; m < names.size(); ++m)
             cell.metrics[m].name = names[m];
         for (std::size_t s = 0; s < nSeeds; ++s) {
-            const auto &member = members[c * nSeeds + s];
-            if (!member.ok) {
+            const ExperimentResult &member = members[c * nSeeds + s];
+            if (!member.ok()) {
                 ++cell.failures;
                 if (cell.firstError.empty())
-                    cell.firstError = member.error;
+                    cell.firstError = member.error();
                 continue;
             }
+            const std::vector<double> values = ensembleMetrics(member);
             for (std::size_t m = 0; m < names.size(); ++m)
-                cell.metrics[m].samples.push_back(member.metrics[m]);
+                cell.metrics[m].samples.push_back(values[m]);
         }
         for (std::size_t m = 0; m < names.size(); ++m) {
             auto &metric = cell.metrics[m];

@@ -10,6 +10,18 @@
 namespace javelin {
 namespace harness {
 
+std::string
+ExperimentResult::error() const
+{
+    if (failed)
+        return failMessage.empty() ? "harness failure" : failMessage;
+    if (run.outOfMemory)
+        return "out of memory";
+    if (run.stackOverflow)
+        return "stack overflow";
+    return "";
+}
+
 double
 ExperimentResult::edp() const
 {

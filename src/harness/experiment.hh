@@ -141,9 +141,10 @@ struct ExperimentResult
     CoTenancyResult cotenancy;
 
     /**
-     * The harness itself failed (an exception escaped the run). Set by
-     * the sweep engines so a failed shard can never masquerade as a
-     * successful zero-energy run in downstream tables.
+     * The run itself failed: an exception escaped it (stamped by
+     * SweepRunner::runTask) or a co-tenant died. Lets a failed shard
+     * never masquerade as a successful zero-energy run in downstream
+     * tables.
      */
     bool failed = false;
     std::string failMessage;
@@ -152,6 +153,14 @@ struct ExperimentResult
     {
         return !failed && !run.outOfMemory && !run.stackOverflow;
     }
+
+    /**
+     * Why the run is not ok(), "" when it is: failMessage ("harness
+     * failure" if that is empty), else "out of memory" or "stack
+     * overflow". The one failure text every sweep front end journals
+     * and reports.
+     */
+    std::string error() const;
 
     /** Energy-delay product over measured totals (J*s). */
     double edp() const;

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "harness/ensemble.hh"
 #include "harness/scenario.hh"
@@ -305,53 +304,37 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
             pending.push_back(g);
     }
 
-    // --- worker pool over the pending list. Seeds key off the GLOBAL
+    // --- the pool over the pending list. Seeds key off the GLOBAL
     // shard index, so results are invariant to what happens to be
     // pending (the byte-identical-resume property).
-    const auto &execute = config_.execute;
-    std::vector<ShardRecord> fresh(pending.size());
-    std::vector<char> produced(pending.size(), 0);
-    std::atomic<std::size_t> cursor{0};
     std::atomic<bool> stop{false};
     std::mutex commitMutex;
     std::size_t committed = 0;
 
-    const auto worker = [&] {
-        for (;;) {
+    SweepRunner::parallelFor(
+        pending.size(),
+        [&](std::size_t i) {
+            // After keepGoing said stop, claimed shards are left
+            // unrun, as a crash would leave them.
             if (stop.load(std::memory_order_acquire))
                 return;
-            const std::size_t i = cursor.fetch_add(1);
-            if (i >= pending.size())
-                return;
             const std::size_t g = pending[i];
+            SweepTask task = tasks[g];
+            task.config.seed =
+                SweepRunner::taskSeed(task.config.seed, g);
+            const ExperimentResult res =
+                SweepRunner::runTask(task, config_.execute);
 
             ShardRecord rec;
             rec.shard = g;
             rec.key = shardKey(tasks[g]);
-            SweepTask task = tasks[g];
-            task.config.seed =
-                SweepRunner::taskSeed(task.config.seed, g);
-            try {
-                const ExperimentResult res =
-                    execute ? execute(task)
-                            : runExperiment(task.config, task.profile);
-                if (res.ok()) {
-                    rec.ok = true;
-                    rec.metrics = ensembleMetrics(res);
-                    rec.gcCollections = res.run.gc.collections;
-                    rec.bytecodes = res.run.bytecodesExecuted;
-                } else if (res.failed) {
-                    rec.error = res.failMessage.empty()
-                                    ? "harness failure"
-                                    : res.failMessage;
-                } else {
-                    rec.error = res.run.outOfMemory ? "out of memory"
-                                                    : "stack overflow";
-                }
-            } catch (const std::exception &e) {
-                rec.error = e.what();
-            } catch (...) {
-                rec.error = "unknown exception";
+            rec.ok = res.ok();
+            if (rec.ok) {
+                rec.metrics = ensembleMetrics(res);
+                rec.gcCollections = res.run.gc.collections;
+                rec.bytecodes = res.run.bytecodesExecuted;
+            } else {
+                rec.error = res.error();
             }
 
             std::lock_guard<std::mutex> lock(commitMutex);
@@ -359,8 +342,7 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
                 journal << journalLine(rec);
                 journal.flush();
             }
-            fresh[i] = std::move(rec);
-            produced[i] = 1;
+            known[g] = std::move(rec);
             ++committed;
             if (config_.progress)
                 config_.progress(partitionRestored + committed,
@@ -373,29 +355,11 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
             }
             if (config_.keepGoing && !config_.keepGoing(committed))
                 stop.store(true, std::memory_order_release);
-        }
-    };
-
-    unsigned jobs = SweepRunner::resolveJobs(config_.jobs);
-    if (jobs > pending.size())
-        jobs = static_cast<unsigned>(pending.size());
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> workers;
-        workers.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            workers.emplace_back(worker);
-        for (auto &w : workers)
-            w.join();
-    }
+        },
+        config_.jobs);
 
     report.aborted = stop.load();
-    for (std::size_t i = 0; i < fresh.size(); ++i)
-        if (produced[i]) {
-            ++report.executed;
-            known[fresh[i].shard] = std::move(fresh[i]);
-        }
+    report.executed = committed;
     report.records.reserve(known.size());
     for (auto &[g, rec] : known)
         report.records.push_back(std::move(rec));

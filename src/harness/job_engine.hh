@@ -2,13 +2,15 @@
  * @file
  * Resumable sweep job engine (ROADMAP item 1).
  *
- * SweepRunner is a one-shot fork-join loop: a crash at shard 9,000 of
- * 10,000 loses everything. JobEngine shards a sweep into independent
- * work items, executes them on the same deterministic worker pool, and
- * journals one completion record per shard — shard index, shard key,
- * and the result payload — to an append-only checkpoint file (JSON
- * lines, schema "javelin-journal-v1"). A killed run restarts with
- * --resume and re-executes only the shards missing from the journal.
+ * SweepRunner::run is a one-shot fork-join loop: a crash at shard
+ * 9,000 of 10,000 loses everything. JobEngine shards a sweep into
+ * independent work items, executes them with the same two primitives
+ * (SweepRunner::parallelFor as the pool, SweepRunner::runTask per
+ * shard), and journals one completion record per shard — shard index,
+ * shard key, and the result payload — to an append-only checkpoint
+ * file (JSON lines, schema "javelin-journal-v1"). A killed run
+ * restarts with --resume and re-executes only the shards missing from
+ * the journal.
  *
  * Determinism: the per-shard seed is SweepRunner::taskSeed(seed,
  * global shard index), so a shard computes the same result whether it
@@ -23,9 +25,10 @@
  * shard resolve last-write-wins; a journal whose scenario hash does
  * not match the scenario being run is refused outright — never
  * silently merged. Failed shards (simulated OOM or a thrown
- * exception) are journaled too, with their error text, so they
- * surface in the report under their shard key instead of vanishing,
- * and a resume does not pointlessly re-run a deterministic failure.
+ * exception) are journaled too, with ExperimentResult::error() as
+ * their text, so they surface in the report under their shard key
+ * instead of vanishing, and a resume does not pointlessly re-run a
+ * deterministic failure.
  *
  * Fault-injection hooks: JAVELIN_JOB_CRASH_AFTER=<n> raises SIGKILL
  * immediately after the n-th record commits (the CI kill-and-resume
@@ -58,7 +61,7 @@ struct ShardRecord
     /** Stable identity (harness::shardKey of the task). */
     std::string key;
     bool ok = false;
-    /** Failure text when !ok (OOM, stack overflow, exception). */
+    /** ExperimentResult::error() of the run when !ok. */
     std::string error;
     /** jobMetricNames() order; empty when !ok. */
     std::vector<double> metrics;
@@ -111,7 +114,7 @@ class JobEngine
         /** Called (under the commit lock) as (done, partition total). */
         SweepRunner::Progress progress;
         /** Task executor; defaults to runExperiment (tests override). */
-        std::function<ExperimentResult(const SweepTask &)> execute;
+        SweepRunner::Executor execute;
         /**
          * In-process kill switch: called after every record commit
          * with the number committed this invocation; returning false

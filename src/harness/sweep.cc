@@ -11,62 +11,67 @@
 namespace javelin {
 namespace harness {
 
-namespace {
-
-/**
- * Drain an atomic work queue: claim indices until none remain, run
- * work(i) for each, then report completion under the progress lock.
- */
 void
-drainQueue(std::atomic<std::size_t> &next, std::size_t total,
-           const std::function<void(std::size_t)> &work,
-           std::mutex *progress_mutex, std::size_t *done,
-           const SweepRunner::Progress &progress)
-{
-    for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= total)
-            return;
-        work(i);
-        if (progress) {
-            std::lock_guard<std::mutex> lock(*progress_mutex);
-            progress(++*done, total);
-        }
-    }
-}
-
-void
-runPool(std::size_t total, unsigned jobs,
-        const std::function<void(std::size_t)> &work,
-        const SweepRunner::Progress &progress)
+SweepRunner::parallelFor(std::size_t n,
+                         const std::function<void(std::size_t)> &fn,
+                         unsigned jobs, const Progress &progress)
 {
     std::atomic<std::size_t> next{0};
     std::mutex progressMutex;
     std::size_t done = 0;
+    // Claim indices until none remain, reporting each completion.
+    const auto drain = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            fn(i);
+            if (progress) {
+                std::lock_guard<std::mutex> lock(progressMutex);
+                progress(++done, n);
+            }
+        }
+    };
 
-    if (total == 0)
+    jobs = resolveJobs(jobs);
+    if (n == 0)
         return;
-    if (jobs > total)
-        jobs = static_cast<unsigned>(total);
+    if (jobs > n)
+        jobs = static_cast<unsigned>(n);
     if (jobs <= 1) {
         // Serial path on the calling thread (JAVELIN_JOBS=1): easier to
         // debug and guaranteed free of thread scheduling entirely.
-        drainQueue(next, total, work, &progressMutex, &done, progress);
+        drain();
         return;
     }
 
     std::vector<std::thread> workers;
     workers.reserve(jobs);
     for (unsigned t = 0; t < jobs; ++t)
-        workers.emplace_back([&] {
-            drainQueue(next, total, work, &progressMutex, &done,
-                       progress);
-        });
+        workers.emplace_back(drain);
     for (auto &w : workers)
         w.join();
 }
 
-} // namespace
+ExperimentResult
+SweepRunner::runTask(const SweepTask &task, const Executor &execute)
+{
+    std::string error;
+    try {
+        return execute ? execute(task)
+                       : runExperiment(task.config, task.profile);
+    } catch (const std::exception &e) {
+        error = e.what();
+    } catch (...) {
+        error = "unknown exception";
+    }
+    // A failed task must not look like a successful zero-energy run:
+    // stamp the task identity and the failure so report tables and
+    // summaries surface it (ok() is false).
+    ExperimentResult res;
+    res.config = task.config;
+    res.benchmark = task.profile.name;
+    res.failed = true;
+    res.failMessage = std::move(error);
+    return res;
+}
 
 unsigned
 SweepRunner::resolveJobs(unsigned requested)
@@ -122,57 +127,19 @@ SweepRunner::taskSeed(std::uint64_t base_seed, std::size_t index)
     return z ^ (z >> 31);
 }
 
-std::vector<SweepOutcome>
+std::vector<ExperimentResult>
 SweepRunner::run(const std::vector<SweepTask> &tasks) const
 {
-    std::vector<SweepOutcome> outcomes(tasks.size());
-    const auto &execute = config_.execute;
-
-    runPool(
-        tasks.size(), resolveJobs(config_.jobs),
+    std::vector<ExperimentResult> results(tasks.size());
+    parallelFor(
+        tasks.size(),
         [&](std::size_t i) {
             SweepTask task = tasks[i];
             task.config.seed = taskSeed(task.config.seed, i);
-            try {
-                outcomes[i].result =
-                    execute ? execute(task)
-                            : runExperiment(task.config, task.profile);
-            } catch (const std::exception &e) {
-                outcomes[i].error = {true, e.what()};
-            } catch (...) {
-                outcomes[i].error = {true, "unknown exception"};
-            }
-            if (outcomes[i].error.failed) {
-                // A failed task must not look like a successful
-                // zero-energy run: stamp the outcome's result with the
-                // task identity and the failure so report tables and
-                // summaries surface it (result.ok() is now false).
-                auto &res = outcomes[i].result;
-                res.config = task.config;
-                res.benchmark = task.profile.name;
-                res.failed = true;
-                res.failMessage = outcomes[i].error.message;
-            }
+            results[i] = runTask(task, config_.execute);
         },
-        config_.progress);
-
-    return outcomes;
-}
-
-void
-SweepRunner::parallelFor(std::size_t n,
-                         const std::function<void(std::size_t)> &fn,
-                         unsigned jobs)
-{
-    runPool(n, resolveJobs(jobs), fn, nullptr);
-}
-
-std::vector<SweepOutcome>
-runSweep(const std::vector<SweepTask> &tasks, unsigned jobs)
-{
-    SweepRunner::Config cfg;
-    cfg.jobs = jobs;
-    return SweepRunner(cfg).run(tasks);
+        config_.jobs, config_.progress);
+    return results;
 }
 
 SweepRunner::Progress

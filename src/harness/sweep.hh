@@ -1,20 +1,26 @@
 /**
  * @file
- * Parallel experiment-sweep engine.
+ * The executor core under every sweep front end.
  *
  * The paper's headline results are full-factorial sweeps (benchmarks x
  * collectors x heap sizes); every run constructs an independent
- * sim::System, so the sweep is embarrassingly parallel. SweepRunner
- * fans a task list out across a pool of worker threads and returns the
- * results in deterministic input order:
+ * sim::System, so the sweep is embarrassingly parallel. Two primitives
+ * carry all of it:
  *
- *  - each task's config seed is re-derived from (config.seed, task
- *    index) with taskSeed(), so noise streams are independent per task
- *    and identical whether the sweep runs serially or in parallel;
- *  - an exception escaping one task is captured into that outcome's
- *    SweepError instead of aborting the whole sweep;
- *  - an optional progress callback reports completed/total counts for
- *    long runs.
+ *  - SweepRunner::parallelFor is the one worker pool: it claims
+ *    indices from an atomic cursor and reports (done, total) to an
+ *    optional progress callback under a lock;
+ *  - SweepRunner::runTask is the one task runner: it never throws; an
+ *    exception escaping the executor becomes a failed ExperimentResult
+ *    stamped with the task's config and benchmark, whose error() is
+ *    the failure text every front end reports.
+ *
+ * SweepRunner::run (the figure drivers), JobEngine::run (javelin-sweep,
+ * journaled and resumable) and EnsembleRunner::run (seed ensembles)
+ * are thin front ends over the two. SweepRunner::run returns one
+ * ExperimentResult per task in input order, bit-identical whether the
+ * sweep runs serially or in parallel: each task's config seed is
+ * re-derived from (config.seed, task index) with taskSeed().
  *
  * The worker count defaults to std::thread::hardware_concurrency() and
  * can be overridden with Config::jobs or the JAVELIN_JOBS environment
@@ -40,25 +46,6 @@ struct SweepTask
     workloads::BenchmarkProfile profile;
 };
 
-/** Failure record for one task (empty message means the task ran). */
-struct SweepError
-{
-    bool failed = false;
-    std::string message;
-
-    explicit operator bool() const { return failed; }
-};
-
-/** Result slot for one task, in the same position as its input. */
-struct SweepOutcome
-{
-    ExperimentResult result;
-    SweepError error;
-
-    /** Ran to completion and the simulated run itself succeeded. */
-    bool ok() const { return !error.failed && result.ok(); }
-};
-
 /**
  * Thread-pool sweep engine. Stateless between run() calls; one instance
  * can be reused for several sweeps.
@@ -68,6 +55,8 @@ class SweepRunner
   public:
     /** Progress callback: (completed tasks, total tasks). */
     using Progress = std::function<void(std::size_t, std::size_t)>;
+    /** Task executor: runs one task whose seed is already final. */
+    using Executor = std::function<ExperimentResult(const SweepTask &)>;
 
     struct Config
     {
@@ -82,29 +71,42 @@ class SweepRunner
          * Task executor; defaults to runExperiment. A custom executor
          * supports study-specific rigs and failure-injection tests.
          */
-        std::function<ExperimentResult(const SweepTask &)> execute;
+        Executor execute;
     };
 
     SweepRunner() = default;
     explicit SweepRunner(Config config) : config_(std::move(config)) {}
 
     /**
-     * Run every task and return outcomes in input order. Results are
-     * bit-identical for any worker count: the per-task seed depends
-     * only on (task.config.seed, index), and each task simulates a
-     * private sim::System.
+     * Run every task and return one result per task, in input order.
+     * Results are bit-identical for any worker count: the per-task
+     * seed depends only on (task.config.seed, index), and each task
+     * simulates a private sim::System. A task whose executor threw
+     * comes back failed (see runTask), never as a zero-energy run.
      */
-    std::vector<SweepOutcome> run(const std::vector<SweepTask> &tasks) const;
+    std::vector<ExperimentResult>
+    run(const std::vector<SweepTask> &tasks) const;
 
     /**
-     * Generic parallel loop over [0, n) using the same worker policy,
-     * for sweeps that do not fit the ExperimentConfig mould (custom
-     * rigs like the thermal studies). fn must only touch state private
-     * to its index.
+     * The worker pool: run fn(i) for every i in [0, n) on `jobs`
+     * workers (0 = resolveJobs policy; one worker runs on the calling
+     * thread), then return. progress, if set, is called under a lock
+     * after every index. fn must only touch state private to its
+     * index, or guard what it shares.
      */
     static void parallelFor(std::size_t n,
                             const std::function<void(std::size_t)> &fn,
-                            unsigned jobs = 0);
+                            unsigned jobs = 0,
+                            const Progress &progress = nullptr);
+
+    /**
+     * The task runner: execute(task), or runExperiment when execute is
+     * null. Never throws: an escaping exception becomes a result with
+     * failed set, failMessage the exception text, and config and
+     * benchmark stamped from the task.
+     */
+    static ExperimentResult runTask(const SweepTask &task,
+                                    const Executor &execute);
 
     /**
      * Resolve a worker count: requested if nonzero, else JAVELIN_JOBS,
@@ -135,10 +137,6 @@ class SweepRunner
   private:
     Config config_;
 };
-
-/** Convenience: run tasks with a default-configured runner. */
-std::vector<SweepOutcome> runSweep(const std::vector<SweepTask> &tasks,
-                                   unsigned jobs = 0);
 
 /**
  * Progress callback that rewrites a "label: done/total" line on stderr

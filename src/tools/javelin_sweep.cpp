@@ -16,9 +16,6 @@
  *   --shard i/N        run only shards with index % N == i (multi-host
  *                      partitioning; each partition needs its own
  *                      checkpoint file)
- *   --result-store F   also persist shard records into the
- *                      javelin-kv-v1 store F (query with javelin-kv;
- *                      repeated runs accumulate, last-write-wins)
  *   --builtin NAME     use a committed scenario instead of a file
  *   --print-scenario   print the canonical scenario JSON and exit
  *   --list-builtins    list builtin scenario names and exit
@@ -53,7 +50,6 @@ usage()
         << "usage: javelin-sweep SCENARIO.json [--out FILE]\n"
            "                     [--checkpoint FILE] [--resume]\n"
            "                     [--jobs N] [--shard i/N]\n"
-           "                     [--result-store FILE]\n"
            "       javelin-sweep --builtin NAME [same options]\n"
            "       javelin-sweep --builtin NAME --print-scenario\n"
            "       javelin-sweep --list-builtins\n";
@@ -95,8 +91,6 @@ main(int argc, char **argv)
             outPath = argv[++i];
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             cfg.checkpointPath = argv[++i];
-        } else if (arg == "--result-store" && i + 1 < argc) {
-            cfg.resultStorePath = argv[++i];
         } else if (arg == "--resume") {
             cfg.resume = true;
         } else if (arg == "--jobs" && i + 1 < argc) {

@@ -2,8 +2,8 @@
  * @file
  * Tests for the seed-ensemble regression harness: determinism across
  * worker counts, seed-value (not position) keyed members, report
- * serialization, and end-to-end sensitivity to an injected model
- * change.
+ * serialization, end-to-end sensitivity to an injected model change,
+ * and the same failure text as the job engine for a failed member.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "harness/ensemble.hh"
+#include "harness/job_engine.hh"
 
 using namespace javelin;
 using namespace javelin::harness;
@@ -136,4 +137,28 @@ TEST(Ensemble, DetectsInjectedEnergyCost)
     ASSERT_EQ(free.size(), cost.size());
     for (std::size_t i = 0; i < free.size(); ++i)
         EXPECT_GT(cost[i], free[i]) << "seed#" << i;
+}
+
+TEST(Ensemble, FailedMemberReadsTheJobEngineErrorText)
+{
+    // A co-tenancy cell whose tenant runs out of memory: the ensemble
+    // must say why the member dropped out exactly as javelin-sweep's
+    // journal does, not guess from the aggregate run flags.
+    SweepTask cell = cheapCell();
+    cell.config.heapScale = 0.001;
+    cell.config.tenants = 2;
+    cell.config.requestsPerTenant = 4;
+    const std::string expected = "tenant failed: OutOfMemoryError";
+
+    const auto ensemble = EnsembleRunner(testConfig({1})).run({cell});
+    ASSERT_EQ(ensemble.at(0).failures, 1u);
+    EXPECT_EQ(ensemble.at(0).firstError, expected);
+
+    JobEngine::Config jc;
+    jc.jobs = 1;
+    const JobReport report =
+        JobEngine(jc).run({cell}, "failing-cell", "no-checkpoint");
+    ASSERT_EQ(report.records.size(), 1u);
+    EXPECT_FALSE(report.records[0].ok);
+    EXPECT_EQ(report.records[0].error, expected);
 }

@@ -37,7 +37,6 @@
 #include <string>
 
 #include "harness/experiment.hh"
-#include "util/kv_store.hh"
 #include "jvm/jvm.hh"
 #include "sim/platform.hh"
 #include "workloads/program_builder.hh"
@@ -69,53 +68,25 @@ printRequested()
     return p != nullptr && p[0] != '\0' && p[0] != '0';
 }
 
-std::string
-initializerText(const char *name, const harness::ExperimentResult &res)
-{
-    const auto &c = res.counters;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "constexpr Golden kGolden%s = {\n"
-                  "    \"%s\",\n"
-                  "    %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, "
-                  "%lluu,\n"
-                  "    %.17g, %.17g,\n"
-                  "};\n",
-                  name, name,
-                  static_cast<unsigned long long>(c.cycles),
-                  static_cast<unsigned long long>(c.instructions),
-                  static_cast<unsigned long long>(c.l1iMisses),
-                  static_cast<unsigned long long>(c.l1dMisses),
-                  static_cast<unsigned long long>(c.l2Misses),
-                  static_cast<unsigned long long>(c.dramAccesses),
-                  static_cast<unsigned long long>(c.dramWritebacks),
-                  res.groundTruthCpuJoules, res.groundTruthMemJoules);
-    return buf;
-}
-
 void
 printInitializer(const char *name, const harness::ExperimentResult &res)
 {
-    std::fputs(initializerText(name, res).c_str(), stdout);
-}
-
-/**
- * JAVELIN_GOLDEN_KV=path: also archive this run's capture in a
- * javelin-kv-v1 store under "golden/<name>" (query with
- * `javelin-kv get <path> golden/<name>`), so re-goldening sessions
- * keep a history of what each capture looked like instead of pasting
- * over it.
- */
-void
-storeCapture(const char *name, const harness::ExperimentResult &res)
-{
-    const char *path = std::getenv("JAVELIN_GOLDEN_KV");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    KvStore store(path);
-    store.put(std::string("golden/") + name,
-              initializerText(name, res));
-    store.close();
+    const auto &c = res.counters;
+    std::printf("constexpr Golden kGolden%s = {\n"
+                "    \"%s\",\n"
+                "    %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, "
+                "%lluu,\n"
+                "    %.17g, %.17g,\n"
+                "};\n",
+                name, name,
+                static_cast<unsigned long long>(c.cycles),
+                static_cast<unsigned long long>(c.instructions),
+                static_cast<unsigned long long>(c.l1iMisses),
+                static_cast<unsigned long long>(c.l1dMisses),
+                static_cast<unsigned long long>(c.l2Misses),
+                static_cast<unsigned long long>(c.dramAccesses),
+                static_cast<unsigned long long>(c.dramWritebacks),
+                res.groundTruthCpuJoules, res.groundTruthMemJoules);
 }
 
 /** Compare one run against its golden, printing a full diff table. */
@@ -348,7 +319,6 @@ TEST(GoldenRuns, JikesSemiSpaceP6)
 {
     const auto res = runJikes();
     ASSERT_TRUE(res.ok());
-    storeCapture("Jikes", res);
     if (printRequested()) {
         printInitializer("Jikes", res);
         GTEST_SKIP() << "print mode: golden not checked";
@@ -366,7 +336,6 @@ TEST(GoldenRuns, GenMsP6Heap32)
 {
     const auto res = runGenMs();
     ASSERT_TRUE(res.ok());
-    storeCapture("GenMs", res);
     if (printRequested()) {
         printInitializer("GenMs", res);
         GTEST_SKIP() << "print mode: golden not checked";
@@ -378,7 +347,6 @@ TEST(GoldenRuns, KaffeIncMsPxa255)
 {
     const auto res = runKaffe();
     ASSERT_TRUE(res.ok());
-    storeCapture("Kaffe", res);
     if (printRequested()) {
         printInitializer("Kaffe", res);
         GTEST_SKIP() << "print mode: golden not checked";
@@ -390,7 +358,6 @@ TEST(GoldenRuns, CallHeavySemiSpaceP6)
 {
     const auto res = runCallHeavy();
     ASSERT_TRUE(res.ok());
-    storeCapture("CallHeavy", res);
     if (printRequested()) {
         printInitializer("CallHeavy", res);
         GTEST_SKIP() << "print mode: golden not checked";
@@ -402,7 +369,6 @@ TEST(GoldenRuns, InterpreterTierP6)
 {
     const auto res = runInterp();
     ASSERT_TRUE(res.ok());
-    storeCapture("Interp", res);
     if (printRequested()) {
         printInitializer("Interp", res);
         GTEST_SKIP() << "print mode: golden not checked";
@@ -414,7 +380,6 @@ TEST(GoldenRuns, MultiTenantGenMsP6)
 {
     const auto res = runMultiTenant();
     ASSERT_TRUE(res.ok());
-    storeCapture("MultiTenant", res);
     if (printRequested()) {
         printInitializer("MultiTenant", res);
         std::printf("constexpr std::uint64_t kGoldenMultiTenantSwitches "

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "harness/sweep.hh"
 
@@ -37,24 +38,22 @@ smallSweep()
 }
 
 void
-expectIdentical(const std::vector<SweepOutcome> &a,
-                const std::vector<SweepOutcome> &b)
+expectIdentical(const std::vector<ExperimentResult> &a,
+                const std::vector<ExperimentResult> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_FALSE(a[i].error.failed);
-        EXPECT_FALSE(b[i].error.failed);
-        EXPECT_EQ(a[i].result.run.endTick, b[i].result.run.endTick);
-        EXPECT_EQ(a[i].result.run.returnValue,
-                  b[i].result.run.returnValue);
-        EXPECT_EQ(a[i].result.run.gc.collections,
-                  b[i].result.run.gc.collections);
-        EXPECT_DOUBLE_EQ(a[i].result.attribution.totalCpuJoules,
-                         b[i].result.attribution.totalCpuJoules);
-        EXPECT_DOUBLE_EQ(a[i].result.attribution.totalMemJoules,
-                         b[i].result.attribution.totalMemJoules);
-        EXPECT_DOUBLE_EQ(a[i].result.groundTruthCpuJoules,
-                         b[i].result.groundTruthCpuJoules);
+        EXPECT_FALSE(a[i].failed);
+        EXPECT_FALSE(b[i].failed);
+        EXPECT_EQ(a[i].run.endTick, b[i].run.endTick);
+        EXPECT_EQ(a[i].run.returnValue, b[i].run.returnValue);
+        EXPECT_EQ(a[i].run.gc.collections, b[i].run.gc.collections);
+        EXPECT_DOUBLE_EQ(a[i].attribution.totalCpuJoules,
+                         b[i].attribution.totalCpuJoules);
+        EXPECT_DOUBLE_EQ(a[i].attribution.totalMemJoules,
+                         b[i].attribution.totalMemJoules);
+        EXPECT_DOUBLE_EQ(a[i].groundTruthCpuJoules,
+                         b[i].groundTruthCpuJoules);
     }
 }
 
@@ -75,15 +74,16 @@ TEST(SweepRunner, ParallelResultsIdenticalToSerial)
 TEST(SweepRunner, MatchesHandWrittenSerialLoop)
 {
     const auto tasks = smallSweep();
-    std::vector<SweepOutcome> byHand(tasks.size());
+    std::vector<ExperimentResult> byHand(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         auto task = tasks[i];
         task.config.seed =
             SweepRunner::taskSeed(task.config.seed, i);
-        byHand[i].result = runExperiment(task.config, task.profile);
+        byHand[i] = runExperiment(task.config, task.profile);
     }
-    const auto pooled = runSweep(tasks, 4);
-    expectIdentical(byHand, pooled);
+    SweepRunner::Config cfg;
+    cfg.jobs = 4;
+    expectIdentical(byHand, SweepRunner(cfg).run(tasks));
 }
 
 TEST(SweepRunner, TaskSeedDeterministicAndDistinct)
@@ -101,8 +101,10 @@ TEST(SweepRunner, TaskSeedDeterministicAndDistinct)
 TEST(SweepRunner, ExceptionCapturedPerTask)
 {
     std::vector<SweepTask> tasks(3);
-    for (std::uint32_t i = 0; i < 3; ++i)
+    for (std::uint32_t i = 0; i < 3; ++i) {
         tasks[i].config.heapNominalMB = i;
+        tasks[i].profile.name = "task" + std::to_string(i);
+    }
 
     SweepRunner::Config cfg;
     cfg.jobs = 2;
@@ -114,14 +116,45 @@ TEST(SweepRunner, ExceptionCapturedPerTask)
         res.run.returnValue = task.config.heapNominalMB;
         return res;
     };
-    const auto outcomes = SweepRunner(cfg).run(tasks);
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_FALSE(outcomes[0].error.failed);
-    EXPECT_TRUE(outcomes[1].error.failed);
-    EXPECT_EQ(outcomes[1].error.message, "injected failure");
-    EXPECT_FALSE(outcomes[2].error.failed);
-    EXPECT_EQ(outcomes[0].result.run.returnValue, 0u);
-    EXPECT_EQ(outcomes[2].result.run.returnValue, 2u);
+    const auto results = SweepRunner(cfg).run(tasks);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok());
+    EXPECT_TRUE(results[1].failed);
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_EQ(results[1].error(), "injected failure");
+    EXPECT_TRUE(results[2].ok());
+    EXPECT_EQ(results[0].run.returnValue, 0u);
+    EXPECT_EQ(results[2].run.returnValue, 2u);
+    // The failed result is stamped with the task it ran, seed mixed.
+    EXPECT_EQ(results[1].benchmark, "task1");
+    EXPECT_EQ(results[1].config.heapNominalMB, 1u);
+    EXPECT_EQ(results[1].config.seed,
+              SweepRunner::taskSeed(tasks[1].config.seed, 1));
+}
+
+TEST(SweepRunner, RunTaskNeverThrows)
+{
+    SweepTask task;
+    task.profile.name = "thrower";
+    const auto res = SweepRunner::runTask(
+        task, [](const SweepTask &) -> ExperimentResult { throw 42; });
+    EXPECT_TRUE(res.failed);
+    EXPECT_EQ(res.error(), "unknown exception");
+    EXPECT_EQ(res.benchmark, "thrower");
+}
+
+TEST(SweepRunner, ErrorTextNamesWhyARunIsNotOk)
+{
+    ExperimentResult res;
+    EXPECT_EQ(res.error(), "");
+    res.run.stackOverflow = true;
+    EXPECT_EQ(res.error(), "stack overflow");
+    res.run.outOfMemory = true;
+    EXPECT_EQ(res.error(), "out of memory");
+    res.failed = true;
+    EXPECT_EQ(res.error(), "harness failure");
+    res.failMessage = "tenant failed: OutOfMemoryError";
+    EXPECT_EQ(res.error(), "tenant failed: OutOfMemoryError");
 }
 
 TEST(SweepRunner, ProgressReportsEveryCompletion)
@@ -146,10 +179,17 @@ TEST(SweepRunner, ProgressReportsEveryCompletion)
 TEST(SweepRunner, ParallelForCoversEachIndexOnce)
 {
     std::vector<int> hits(97, 0);
+    std::size_t lastDone = 0;
     SweepRunner::parallelFor(
-        hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);
+        hits.size(), [&](std::size_t i) { ++hits[i]; }, 4,
+        [&](std::size_t done, std::size_t total) {
+            EXPECT_EQ(done, lastDone + 1);
+            EXPECT_EQ(total, hits.size());
+            lastDone = done;
+        });
     for (const int h : hits)
         EXPECT_EQ(h, 1);
+    EXPECT_EQ(lastDone, hits.size());
 }
 
 TEST(SweepRunner, ResolveJobsHonorsEnvironment)
