@@ -1,12 +1,12 @@
 /**
  * @file
- * Micro-benchmarks for the asynchronous trace spool (DESIGN.md §10).
+ * Micro-benchmarks for the trace spool (DESIGN.md §10).
  *
- * BM_TraceCapture times the hot-path cost the spool adds per sample:
- * encode into the active block buffer, with sealing and file I/O
- * riding on the writer thread. items_per_second is the gate metric —
- * capture must stay cheap enough that a 40 µs-period DAQ never
- * notices it.
+ * BM_TraceCapture times the whole cost the spool adds per sample:
+ * encode into the block buffer, plus sealing and writing each full
+ * 1 MiB block, which happen inside the append that fills it.
+ * items_per_second is the gate metric — capture must stay cheap
+ * enough that a 40 µs-period DAQ never notices it.
  *
  * BM_TraceCaptureInMemory is the push_back baseline the spool is
  * compared against, and BM_EndToEndExperimentSpooled re-runs the CI's
@@ -50,7 +50,8 @@ scratchPath(const char *name)
 void
 BM_TraceCapture(benchmark::State &state)
 {
-    // Per-sample spool append, writer thread draining to /tmp.
+    // Per-sample spool append; full blocks are written to /tmp inside
+    // the timed loop.
     core::TraceSpool::Config cfg;
     cfg.path = scratchPath("capture");
     core::TraceSpool spool(cfg);

@@ -4,8 +4,8 @@
  * power samples and the HPM counter samples — so the paper's figures
  * can be re-plotted from javelin data with any plotting tool.
  *
- * Capture goes through the asynchronous trace spool (DESIGN.md §10):
- * samples stream to javelin-trace-v1 binary files as the run executes
+ * Capture goes through the trace spool (DESIGN.md §10): samples
+ * stream to javelin-trace-v1 binary files as the run executes
  * — capture memory stays flat no matter how long the run is — and the
  * CSVs are decoded from the binary traces afterwards. `javelin-trace
  * cat/index/range` can inspect the .jtrc files directly.
@@ -49,8 +49,8 @@ main(int argc, char **argv)
     vmCfg.heapBytes = harness::scaledHeapBytes(cfg);
     jvm::Jvm vm(system, program, vmCfg);
 
-    // Spool-only capture: no in-memory trace at all; the spool's two
-    // block buffers are the entire capture footprint.
+    // Spool-only capture: no in-memory trace at all; each spool's one
+    // block buffer is the entire capture footprint.
     const std::string powerTrc = outdir + "/" + bench + ".power.jtrc";
     const std::string perfTrc = outdir + "/" + bench + ".perf.jtrc";
     core::TraceSpool::Config powerSp;

@@ -41,7 +41,7 @@ fi
 # --- tests/test_golden_runs.cc)
 cmake -B build -S .
 cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # --- the repository benchmark's own tests (perfbench/README.md): its
 # --- traced and detached pipelines must reproduce runExperiment bit
@@ -147,8 +147,8 @@ echo "trace smoke: clean round trip byte-identical, torn tail" \
 # --- capture-RSS ceiling: spooled capture must hold flat memory as
 # --- the sample count scales 10x (1M -> 10M samples). The in-memory
 # --- path grows ~40 B per power sample (~400 MB at 10M); the spool
-# --- must stay inside its fixed double-buffer budget, so allow well
-# --- under one in-memory decade of growth.
+# --- must stay inside its one block buffer, so allow well under one
+# --- in-memory decade of growth.
 trace_rss() {
     "$TRACE" record --samples "$1" --out "$TRACE_DIR/rss.jtrc" \
         --print-rss 2>&1 > /dev/null | sed -n 's/.*max_rss_kb=//p'
@@ -192,7 +192,7 @@ else
     cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
     cmake --build build-asan -j
-    ctest --test-dir build-asan --output-on-failure -j
+    ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 fi
 
 # --- perf gate (skippable for quick correctness-only runs)

@@ -34,7 +34,8 @@ benchmarks:
   * BM_GcMark / BM_GcEvacuate / BM_GcSweep  items_per_second (the
     three GC phase drains in isolation; see bench/micro_gc.cpp)
   * BM_TraceCapture         items_per_second (per-sample append cost
-    of the async trace spool; see bench/micro_trace.cpp)
+    of the trace spool, block writes included; see
+    bench/micro_trace.cpp)
   * BM_EndToEndExperimentSpooled  bytecodes_per_sec (the end-to-end
     pipeline with power + perf spooling attached — capture must stay
     free at the experiment level)

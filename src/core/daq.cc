@@ -5,6 +5,13 @@
 namespace javelin {
 namespace core {
 
+namespace {
+
+/** Samples preallocated for the in-memory trace. */
+constexpr std::size_t kTraceReserve = 1 << 16;
+
+} // namespace
+
 Daq::Daq(sim::System &system, ComponentPort &port)
     : Daq(system, port, Config())
 {
@@ -22,10 +29,10 @@ Daq::Daq(sim::System &system, ComponentPort &port, const Config &config)
     if (spool_)
         JAVELIN_ASSERT(spool_->kind() == tracefmt::RecordKind::Power,
                        "DAQ spool must carry power records");
-    // The pre-sizing knob only matters when the trace lives in
-    // memory; spooled capture is bounded by the spool's two buffers.
+    // Pre-size only a trace that lives in memory; spooled capture is
+    // bounded by the spool's one block buffer.
     if (keepInMemory_)
-        trace_.reserve(config.reserve);
+        trace_.reserve(kTraceReserve);
     refTick_ = system_.cpu().now();
     // Snapshot the energy baseline at attach time: a DAQ connected to a
     // warm system must not attribute pre-attach energy to its first

@@ -39,17 +39,10 @@ class Daq
         /** Memory rail sense channel. */
         SenseResistor::Config memSense;
         /**
-         * Preallocate this many samples — honored only in the
-         * in-memory (oracle) mode; along the spooled path capture
-         * memory is bounded by the spool's two block buffers and the
-         * knob is dead.
-         */
-        std::size_t reserve = 1 << 16;
-        /**
-         * Asynchronous sink (non-owning): every sample is appended to
-         * this spool as it is taken. With keepInMemory left on this
-         * tees capture (the differential oracle); with it off,
-         * capture runs at flat RSS for arbitrarily long traces.
+         * Spool sink (non-owning): every sample is appended to this
+         * spool as it is taken. With keepInMemory left on this tees
+         * capture (the differential oracle); with it off, capture
+         * runs at flat RSS for arbitrarily long traces.
          */
         TraceSpool *spool = nullptr;
         /** Keep the in-memory PowerTrace (the oracle mode). */

@@ -30,9 +30,7 @@ class HpmSampler
     {
         /** Sampling period; 0 means "use the platform's OS timer". */
         Tick period = 0;
-        /** Pre-size the in-memory trace; dead on the spooled path. */
-        std::size_t reserve = 1 << 12;
-        /** Asynchronous sink (non-owning); see Daq::Config::spool. */
+        /** Spool sink (non-owning); see Daq::Config::spool. */
         TraceSpool *spool = nullptr;
         /** Keep the in-memory PerfTrace (the oracle mode). */
         bool keepInMemory = true;

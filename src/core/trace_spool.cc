@@ -22,9 +22,9 @@ using namespace tracefmt;
 
 TraceSpool::TraceSpool(Config config) : config_(std::move(config))
 {
-    recordBytes_ = tracefmt::recordBytes(config_.kind);
-    const std::size_t minBytes =
-        kBlockHeaderBytes + recordBytes_ + kBlockFooterBytes;
+    const std::size_t minBytes = kBlockHeaderBytes +
+                                 tracefmt::recordBytes(config_.kind) +
+                                 kBlockFooterBytes;
     if (config_.bufferBytes < minBytes)
         config_.bufferBytes = minBytes;
 
@@ -40,12 +40,8 @@ TraceSpool::TraceSpool(Config config) : config_(std::move(config))
     pwriteAll(header, kFileHeaderBytes);
     fileOffset_ = kFileHeaderBytes;
 
-    for (auto &b : buffers_) {
-        b.data.resize(config_.bufferBytes);
-        b.fill = kBlockHeaderBytes;
-    }
-
-    writer_ = std::thread([this] { writerLoop(); });
+    block_.resize(config_.bufferBytes);
+    fill_ = kBlockHeaderBytes;
 }
 
 TraceSpool::~TraceSpool()
@@ -84,110 +80,56 @@ TraceSpool::appendEncoded(Tick tick, std::uint32_t componentBit,
                           const unsigned char *rec, std::size_t len)
 {
     JAVELIN_ASSERT(!closed_, "append on a closed trace spool");
-    Buffer *b = &buffers_[active_];
-    if (b->fill + len + kBlockFooterBytes > b->data.size()) {
-        sealActive();
-        b = &buffers_[active_];
-    }
-    std::memcpy(b->data.data() + b->fill, rec, len);
-    b->fill += len;
-    if (b->recordCount == 0) {
-        b->firstTick = tick;
-        b->lastTick = tick;
+    if (fill_ + len + kBlockFooterBytes > block_.size())
+        writeBlock();
+    std::memcpy(block_.data() + fill_, rec, len);
+    fill_ += len;
+    if (recordCount_ == 0) {
+        firstTick_ = tick;
+        lastTick_ = tick;
     } else {
-        b->firstTick = std::min(b->firstTick, tick);
-        b->lastTick = std::max(b->lastTick, tick);
+        firstTick_ = std::min(firstTick_, tick);
+        lastTick_ = std::max(lastTick_, tick);
     }
-    b->componentMask |= componentBit;
-    ++b->recordCount;
+    componentMask_ |= componentBit;
+    ++recordCount_;
     ++recordsAppended_;
 }
 
 void
-TraceSpool::sealActive()
+TraceSpool::writeBlock()
 {
-    Buffer &b = buffers_[active_];
-    if (b.recordCount == 0)
+    if (recordCount_ == 0)
         return;
 
-    const std::size_t payloadBytes = b.fill - kBlockHeaderBytes;
+    const std::size_t payloadBytes = fill_ - kBlockHeaderBytes;
     encodeBlockHeader(static_cast<std::uint32_t>(payloadBytes),
-                      b.data.data());
+                      block_.data());
     BlockFooter footer;
-    footer.firstTick = b.firstTick;
-    footer.lastTick = b.lastTick;
-    footer.recordCount = b.recordCount;
-    footer.componentMask = b.componentMask;
+    footer.firstTick = firstTick_;
+    footer.lastTick = lastTick_;
+    footer.recordCount = recordCount_;
+    footer.componentMask = componentMask_;
     footer.payloadCrc =
-        crc32(b.data.data() + kBlockHeaderBytes, payloadBytes);
-    encodeBlockFooter(footer, b.data.data() + b.fill);
-    b.fill += kBlockFooterBytes;
+        crc32(block_.data() + kBlockHeaderBytes, payloadBytes);
+    encodeBlockFooter(footer, block_.data() + fill_);
+    const std::size_t blockBytes = fill_ + kBlockFooterBytes;
 
-    const int next = active_ ^ 1;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        b.sealed = true;
-        sealedQueue_.push_back(active_);
-        cv_.notify_all();
-        // Backpressure: the other buffer must be drained before it
-        // can fill. Capture memory stays bounded by the two buffers.
-        cv_.wait(lock, [&] {
-            return !buffers_[next].sealed && !buffers_[next].inFlight;
-        });
+    if (config_.crashAfterBlocks != 0 &&
+        blocksWritten_ + 1 >= config_.crashAfterBlocks) {
+        // Fault injection: tear this block halfway through its
+        // write and die as an external SIGKILL would leave the
+        // file — the torn-tail rule's natural habitat.
+        pwriteAll(block_.data(), blockBytes / 2);
+        std::raise(SIGKILL);
     }
-    active_ = next;
-    Buffer &a = buffers_[active_];
-    a.fill = kBlockHeaderBytes;
-    a.recordCount = 0;
-    a.firstTick = 0;
-    a.lastTick = 0;
-    a.componentMask = 0;
-}
+    pwriteAll(block_.data(), blockBytes);
+    fileOffset_ += blockBytes;
+    ++blocksWritten_;
 
-void
-TraceSpool::writerLoop()
-{
-    for (;;) {
-        int idx;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [&] {
-                return stopping_ || !sealedQueue_.empty();
-            });
-            if (sealedQueue_.empty()) {
-                if (stopping_)
-                    return;
-                continue;
-            }
-            idx = sealedQueue_.front();
-            sealedQueue_.erase(sealedQueue_.begin());
-            buffers_[idx].inFlight = true;
-            buffers_[idx].sealed = false;
-        }
-        if (config_.writerDelayMicros)
-            ::usleep(config_.writerDelayMicros);
-
-        Buffer &b = buffers_[idx];
-        const bool crashThisBlock =
-            config_.crashAfterBlocks != 0 &&
-            blocksWritten_ + 1 >= config_.crashAfterBlocks;
-        if (crashThisBlock) {
-            // Fault injection: tear this block halfway through its
-            // write and die as an external SIGKILL would leave the
-            // file — the torn-tail rule's natural habitat.
-            pwriteAll(b.data.data(), b.fill / 2);
-            std::raise(SIGKILL);
-        }
-        pwriteAll(b.data.data(), b.fill);
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            fileOffset_ += b.fill;
-            ++blocksWritten_;
-            b.inFlight = false;
-        }
-        cv_.notify_all();
-    }
+    fill_ = kBlockHeaderBytes;
+    recordCount_ = 0;
+    componentMask_ = 0;
 }
 
 void
@@ -213,34 +155,13 @@ TraceSpool::close()
 {
     if (closed_)
         return;
-    sealActive();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    cv_.notify_all();
-    if (writer_.joinable())
-        writer_.join();
+    writeBlock();
     if (config_.fsyncOnClose && ::fsync(fd_) != 0)
         JAVELIN_FATAL("trace spool: fsync of ", config_.path,
                       " failed: ", std::strerror(errno));
     ::close(fd_);
     fd_ = -1;
     closed_ = true;
-}
-
-std::uint64_t
-TraceSpool::blocksWritten() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return blocksWritten_;
-}
-
-std::uint64_t
-TraceSpool::bytesWritten() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fileOffset_;
 }
 
 // ---------------------------------------------------------------------

@@ -1,19 +1,19 @@
 /**
  * @file
- * Double-buffered asynchronous trace spooling (DESIGN.md §10).
+ * Block-buffered trace spooling (DESIGN.md §10).
  *
  * TraceSpool takes PowerSample/PerfSample appends on the measured
- * path, encodes them into one of two fixed-size block buffers, and
- * hands sealed blocks to a dedicated writer thread, so capture memory
- * is bounded by the two buffers no matter how long the run is and the
- * simulation never blocks on file I/O unless it outruns the disk (at
- * which point the swap waits — backpressure, never data loss). Blocks
+ * path and encodes them into one fixed-size block buffer. When the
+ * next record would not fit, the append that brought it there seals
+ * the block and writes it before going on, so capture memory is
+ * bounded by that one buffer no matter how long the run is. A failed
+ * write stops inside the append() or close() that caused it. Blocks
  * land on disk in the javelin-trace-v1 format (core/trace_format.hh):
  * framed, CRC-stamped, each carrying a footer index of its tick range
  * and component mask.
  *
- * The writer drains each sealed block with pwrite(2) (pwriteAll): one
- * write path, the single place a write-failure seam has to wrap.
+ * Every write goes through pwrite(2) (pwriteAll): one write path, the
+ * single place a write-failure seam has to wrap.
  *
  * TraceReader is the other half: it validates the file, builds the
  * block index from footers alone (no record decoding), recovers a
@@ -25,11 +25,8 @@
 #ifndef JAVELIN_CORE_TRACE_SPOOL_HH
 #define JAVELIN_CORE_TRACE_SPOOL_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/trace_format.hh"
@@ -39,7 +36,7 @@ namespace javelin {
 namespace core {
 
 /**
- * Asynchronous double-buffered writer of javelin-trace-v1 files.
+ * Writer of javelin-trace-v1 files through one block buffer.
  */
 class TraceSpool
 {
@@ -49,9 +46,9 @@ class TraceSpool
         std::string path;
         tracefmt::RecordKind kind = tracefmt::RecordKind::Power;
         /**
-         * Capacity of each of the two block buffers, frame overhead
-         * included; also the on-disk block size. Clamped up so a
-         * buffer always holds at least one record.
+         * Capacity of the block buffer, frame overhead included; also
+         * the on-disk block size. Clamped up so a block always holds
+         * at least one record.
          */
         std::size_t bufferBytes = 1 << 20;
         /** fsync the file before closing it. */
@@ -65,12 +62,6 @@ class TraceSpool
          * smoke and the torn-tail tests.
          */
         std::size_t crashAfterBlocks = 0;
-        /**
-         * Test hook: writer thread sleeps this long before each block
-         * write, forcing the appender into the backpressure wait so
-         * the differential fuzz can cover slow-disk schedules.
-         */
-        unsigned writerDelayMicros = 0;
     };
 
     explicit TraceSpool(Config config);
@@ -85,9 +76,9 @@ class TraceSpool
     void append(const PerfSample &s);
 
     /**
-     * Seal the partial block, drain the writer, close the file.
-     * Idempotent; the destructor calls it. After close() the file is
-     * complete and readable.
+     * Write the partial block and close the file. Idempotent; the
+     * destructor calls it. After close() the file is complete and
+     * readable.
      */
     void close();
 
@@ -95,47 +86,33 @@ class TraceSpool
     tracefmt::RecordKind kind() const { return config_.kind; }
     std::uint64_t recordsAppended() const { return recordsAppended_; }
 
-    /** Blocks fully written to the file so far (writer-side). */
-    std::uint64_t blocksWritten() const;
+    /** Blocks fully written to the file so far. */
+    std::uint64_t blocksWritten() const { return blocksWritten_; }
     /** Bytes written to the file so far, header included. */
-    std::uint64_t bytesWritten() const;
+    std::uint64_t bytesWritten() const { return fileOffset_; }
 
   private:
-    struct Buffer
-    {
-        std::vector<unsigned char> data;
-        /** Next free byte (starts past the block header). */
-        std::size_t fill = 0;
-        std::uint32_t recordCount = 0;
-        Tick firstTick = 0;
-        Tick lastTick = 0;
-        std::uint32_t componentMask = 0;
-        bool sealed = false;
-        bool inFlight = false;
-    };
-
     void appendEncoded(Tick tick, std::uint32_t componentBit,
                        const unsigned char *rec, std::size_t len);
-    void sealActive();
-    void writerLoop();
+    /** Seal the block being filled and write it; no-op when empty. */
+    void writeBlock();
     void pwriteAll(const unsigned char *data, std::size_t len);
 
     Config config_;
-    std::size_t recordBytes_ = 0;
     int fd_ = -1;
     std::uint64_t recordsAppended_ = 0;
 
-    Buffer buffers_[2];
-    int active_ = 0;
+    /** The block being filled; fill_ starts past its header. */
+    std::vector<unsigned char> block_;
+    std::size_t fill_ = 0;
+    std::uint32_t recordCount_ = 0;
+    Tick firstTick_ = 0;
+    Tick lastTick_ = 0;
+    std::uint32_t componentMask_ = 0;
 
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::vector<int> sealedQueue_;
-    bool stopping_ = false;
     bool closed_ = false;
     std::uint64_t blocksWritten_ = 0;
     std::uint64_t fileOffset_ = 0;
-    std::thread writer_;
 };
 
 /**

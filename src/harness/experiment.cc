@@ -87,8 +87,8 @@ runExperiment(const ExperimentConfig &config, const jvm::Program &program)
     daqCfg.cpuSense.seed = config.seed * 31 + 1;
     daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
     daqCfg.memSense.seed = config.seed * 31 + 2;
-    // Optional async trace capture (tee: the in-memory traces still
-    // feed attribution, the spools persist them without touching the
+    // Optional trace capture (tee: the in-memory traces still feed
+    // attribution, the spools persist them without touching the
     // measured path's results).
     std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
     if (!config.traceSpoolDir.empty()) {

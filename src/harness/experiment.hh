@@ -103,7 +103,7 @@ struct ExperimentConfig
 
     /**
      * Host-side trace capture: when non-empty, the run's power and
-     * perf traces are also spooled asynchronously to
+     * perf traces are also spooled to
      * <dir>/<benchmark>.power.jtrc and <dir>/<benchmark>.perf.jtrc
      * (javelin-trace-v1; inspect with the javelin-trace CLI). Pure
      * host I/O — the simulation, its seeds, and every measured number
