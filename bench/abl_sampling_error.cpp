@@ -79,7 +79,7 @@ perturbationCi(const EnsembleCellResult &variant,
 {
     const auto rel =
         pairedPerturbation(variant, reference, "gt_total_joules");
-    return bootstrapMeanCi(rel, ecfg.resamples, ecfg.confidence, seed);
+    return bootstrapMeanCi(rel, ecfg.resamples, kEnsembleConfidence, seed);
 }
 
 void

@@ -133,8 +133,12 @@ main()
                3);
     }
     t.print(std::cout);
+    std::size_t reduced = 0;
+    for (std::size_t g = 1; g < outcomes.size(); ++g)
+        reduced += outcomes[g].throttledPct < base.throttledPct;
     std::cout << "\nTriggering the low-power GC below the trip point "
-                 "reduces time spent in 50%-duty emergency throttling, "
-                 "as the paper anticipates.\n";
+                 "reduces time spent in 50%-duty emergency throttling at "
+              << reduced << " of " << guards.size()
+              << " guards (the paper anticipates that it would).\n";
     return 0;
 }

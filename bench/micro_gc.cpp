@@ -1,9 +1,9 @@
 /**
  * @file
- * M1: collector micro-benchmarks (google-benchmark). Measures simulator
- * wall-clock throughput of allocation and collection for each collector
- * and reports the *simulated* GC cost per object as a counter — useful
- * when tuning the GC cost model (DESIGN.md §6).
+ * M1: collector micro-benchmarks (google-benchmark). Measures the
+ * simulator's host throughput in the three GC traversal phases: marking
+ * a fully-live graph (MarkSweep), Cheney evacuation of a live linked
+ * graph (SemiSpace), and sweeping scalar garbage (MarkSweep).
  */
 
 #include <benchmark/benchmark.h>
@@ -41,87 +41,6 @@ class NullHost : public GcHost
     void gcEnd(bool) override {}
     std::vector<Address> roots;
 };
-
-CollectorKind
-kindOf(int i)
-{
-    switch (i) {
-      case 0: return CollectorKind::SemiSpace;
-      case 1: return CollectorKind::MarkSweep;
-      case 2: return CollectorKind::GenCopy;
-      case 3: return CollectorKind::GenMS;
-      default: return CollectorKind::IncrementalMS;
-    }
-}
-
-void
-BM_AllocateChurn(benchmark::State &state)
-{
-    sim::System system(sim::p6Spec());
-    Heap heap(4 * kMiB);
-    auto cls = classes();
-    ObjectModel om(heap, system.cpu(), cls);
-    NullHost host;
-    auto collector = makeCollector(kindOf(static_cast<int>(state.range(0))),
-                                   GcEnv{heap, om, system, host});
-    host.roots.assign(16, kNull);
-    Rng rng(7);
-
-    const std::uint32_t bytes = om.objectBytes(cls[0], 0);
-    std::uint64_t allocated = 0;
-    for (auto _ : state) {
-        const Address a = collector->allocate(bytes);
-        if (a == kNull) {
-            state.SkipWithError("unexpected OOM");
-            break;
-        }
-        om.initObject(a, cls[0], bytes, 0);
-        collector->postInit(a);
-        host.roots[rng.uniformInt(16)] = a; // bounded live set
-        ++allocated;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(allocated));
-    state.counters["gc_count"] = static_cast<double>(
-        collector->stats().collections);
-    state.counters["sim_us_per_gc"] =
-        collector->stats().collections
-            ? ticksToSeconds(collector->stats().pauseTicks) * 1e6 /
-                  static_cast<double>(collector->stats().collections)
-            : 0.0;
-}
-
-void
-BM_FullCollection(benchmark::State &state)
-{
-    sim::System system(sim::p6Spec());
-    Heap heap(8 * kMiB);
-    auto cls = classes();
-    ObjectModel om(heap, system.cpu(), cls);
-    NullHost host;
-    auto collector = makeCollector(kindOf(static_cast<int>(state.range(0))),
-                                   GcEnv{heap, om, system, host});
-
-    // Build a live set of linked nodes.
-    const std::uint32_t bytes = om.objectBytes(cls[0], 0);
-    Rng rng(11);
-    host.roots.assign(64, kNull);
-    for (int i = 0; i < 20000; ++i) {
-        const Address a = collector->allocate(bytes);
-        om.initObject(a, cls[0], bytes, 0);
-        collector->postInit(a);
-        const Address target = host.roots[rng.uniformInt(64)];
-        if (target != kNull)
-            om.storeRef(a, 0, target);
-        host.roots[rng.uniformInt(64)] = a;
-    }
-
-    for (auto _ : state)
-        collector->collect(true);
-    state.counters["sim_ms_per_gc"] =
-        ticksToSeconds(collector->stats().pauseTicks) * 1e3 /
-        static_cast<double>(
-            std::max<std::uint64_t>(1, collector->stats().collections));
-}
 
 /**
  * Mark-phase throughput: a fully-live graph (deep list spine plus wide
@@ -258,8 +177,6 @@ BM_GcSweep(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_AllocateChurn)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FullCollection)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GcMark)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GcEvacuate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GcSweep)->Unit(benchmark::kMillisecond);

@@ -1,9 +1,9 @@
 /**
  * @file
  * M2: simulator micro-benchmarks (google-benchmark): raw host-side
- * throughput of the cache model, the CPU timing model, the power
- * integrator and a full end-to-end experiment (bytecodes per second of
- * host time), so regressions in simulation speed are visible.
+ * throughput of the cache model, the interpreter's dispatch loop and
+ * full end-to-end experiments (bytecodes per second of host time), so
+ * regressions in simulation speed are visible.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,37 +30,6 @@ BM_CacheAccess(benchmark::State &state)
     }
     benchmark::DoNotOptimize(hits);
     state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_CpuExecute(benchmark::State &state)
-{
-    sim::System system(sim::p6Spec());
-    for (auto _ : state)
-        system.cpu().execute(8, 0x1000, 32);
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-
-void
-BM_CpuLoadStore(benchmark::State &state)
-{
-    sim::System system(sim::p6Spec());
-    Rng rng(3);
-    for (auto _ : state) {
-        system.cpu().load(rng.uniformInt(1 << 22));
-        system.cpu().store(rng.uniformInt(1 << 22));
-    }
-    state.SetItemsProcessed(state.iterations() * 2);
-}
-
-void
-BM_PowerUpdate(benchmark::State &state)
-{
-    sim::System system(sim::p6Spec());
-    for (auto _ : state) {
-        system.cpu().execute(100, 0x1000, 64);
-        system.syncPower();
-    }
 }
 
 void
@@ -259,9 +228,6 @@ BM_EndToEndMultiTenant(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_CacheAccess)->Arg(14)->Arg(18)->Arg(24);
-BENCHMARK(BM_CpuExecute);
-BENCHMARK(BM_CpuLoadStore);
-BENCHMARK(BM_PowerUpdate);
 BENCHMARK(BM_InterpreterDispatch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEndExperiment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEndCallHeavy)->Unit(benchmark::kMillisecond);

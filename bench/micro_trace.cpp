@@ -8,11 +8,10 @@
  * items_per_second is the gate metric — capture must stay cheap
  * enough that a 40 µs-period DAQ never notices it.
  *
- * BM_TraceCaptureInMemory is the push_back baseline the spool is
- * compared against, and BM_EndToEndExperimentSpooled re-runs the CI's
- * end-to-end throughput floor with both spools attached, so "spooling
- * is free at the experiment level" is a measured, regression-gated
- * claim (scripts/ci.sh, bench/BENCH_trace.baseline.json).
+ * BM_EndToEndExperimentSpooled re-runs the CI's end-to-end throughput
+ * floor with both spools attached, so "spooling is free at the
+ * experiment level" is a measured, regression-gated claim
+ * (scripts/ci.sh, bench/BENCH_trace.baseline.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -66,21 +65,6 @@ BM_TraceCapture(benchmark::State &state)
 }
 
 void
-BM_TraceCaptureInMemory(benchmark::State &state)
-{
-    // The baseline the spool competes with: unbounded-RSS push_back.
-    core::PowerTrace trace;
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        trace.push_back(synthSample(i++));
-        benchmark::DoNotOptimize(trace.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(i));
-    state.counters["samples_per_sec"] = benchmark::Counter(
-        static_cast<double>(i), benchmark::Counter::kIsRate);
-}
-
-void
 BM_EndToEndExperimentSpooled(benchmark::State &state)
 {
     // The CI end-to-end pipeline with power + perf spooling enabled:
@@ -104,7 +88,6 @@ BM_EndToEndExperimentSpooled(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_TraceCapture);
-BENCHMARK(BM_TraceCaptureInMemory);
 BENCHMARK(BM_EndToEndExperimentSpooled)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

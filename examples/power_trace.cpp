@@ -4,9 +4,8 @@
  * power samples and the HPM counter samples — so the paper's figures
  * can be re-plotted from javelin data with any plotting tool.
  *
- * Capture goes through the trace spool (DESIGN.md §10): samples
- * stream to javelin-trace-v1 binary files as the run executes
- * — capture memory stays flat no matter how long the run is — and the
+ * Capture tees through the trace spool (DESIGN.md §10): samples
+ * stream to javelin-trace-v1 binary files as the run executes, and the
  * CSVs are decoded from the binary traces afterwards. `javelin-trace
  * cat/index/range` can inspect the .jtrc files directly.
  *
@@ -38,6 +37,7 @@ main(int argc, char **argv)
     // Assemble the rig by hand (runExperiment hides the traces).
     harness::ExperimentConfig cfg;
     cfg.heapNominalMB = heap;
+    cfg.hpmPeriod = 100 * kTicksPerMicro;
     sim::System system(harness::scaledPlatformSpec(cfg));
 
     const auto program = workloads::buildProgram(
@@ -49,8 +49,8 @@ main(int argc, char **argv)
     vmCfg.heapBytes = harness::scaledHeapBytes(cfg);
     jvm::Jvm vm(system, program, vmCfg);
 
-    // Spool-only capture: no in-memory trace at all; each spool's one
-    // block buffer is the entire capture footprint.
+    // Tee capture: the samplers keep their in-memory traces and append
+    // every sample to a spool as it is taken.
     const std::string powerTrc = outdir + "/" + bench + ".power.jtrc";
     const std::string perfTrc = outdir + "/" + bench + ".perf.jtrc";
     core::TraceSpool::Config powerSp;
@@ -64,13 +64,10 @@ main(int argc, char **argv)
 
     core::Daq::Config daqCfg;
     daqCfg.spool = &powerSpool;
-    daqCfg.keepInMemory = false;
     core::Daq daq(system, vm.port(), daqCfg);
 
     core::HpmSampler::Config hpmCfg;
-    hpmCfg.period = 100 * kTicksPerMicro;
     hpmCfg.spool = &perfSpool;
-    hpmCfg.keepInMemory = false;
     core::HpmSampler hpm(system, vm.port(), hpmCfg);
 
     std::cout << "running " << bench << " (heap " << heap
@@ -96,9 +93,9 @@ main(int argc, char **argv)
         std::ofstream f(perfPath);
         core::writePerfCsv(f, reader.readPerf());
     }
-    std::cout << "wrote " << daq.samplesTaken() << " power samples to "
+    std::cout << "wrote " << daq.trace().size() << " power samples to "
               << powerPath << " (spooled via " << powerTrc << ")\n"
-              << "      " << hpm.samplesTaken() << " perf samples to "
+              << "      " << hpm.trace().size() << " perf samples to "
               << perfPath << " (spooled via " << perfTrc << ")\n"
               << "run: " << r.seconds() * 1e3 << " ms, "
               << r.gc.collections << " GCs, "

@@ -10,6 +10,7 @@
  * Usage: thermal_study [benchmark] [paper-seconds]
  */
 
+#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -136,8 +137,12 @@ main(int argc, char **argv)
                   << r.joulesEquivalent << " J equivalent\n";
     }
 
-    std::cout << "\nthe proactive low-power GC pause flattens the ramp "
-                 "and defers the 50%-duty emergency throttle (paper "
-                 "Section VI-C).\n";
+    const double delta = reports[1].throttledPaperSeconds -
+                         reports[0].throttledPaperSeconds;
+    std::cout << "\nthermal-aware GC " << (delta < 0 ? "cut" : "added")
+              << " " << std::fabs(delta)
+              << " equivalent seconds of 50%-duty emergency throttling "
+                 "(paper Section VI-C expects the proactive low-power GC "
+                 "pause to defer it).\n";
     return 0;
 }

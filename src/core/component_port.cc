@@ -5,6 +5,13 @@
 namespace javelin {
 namespace core {
 
+namespace {
+
+/** Cycles charged to the CPU per port write (I/O store cost). */
+constexpr double kWriteCostCycles = 2.0;
+
+} // namespace
+
 ComponentPort::ComponentPort(sim::System &system)
     : ComponentPort(system, Config())
 {
@@ -21,7 +28,7 @@ ComponentPort::write(ComponentId id)
 {
     ++writeCount_;
     if (config_.chargeWrites)
-        system_.cpu().stall(config_.writeCostCycles);
+        system_.cpu().stall(kWriteCostCycles);
     if (id == current_)
         return;
     const ComponentId prev = current_;

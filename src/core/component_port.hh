@@ -15,8 +15,8 @@
  *  - rawWrite() absolute writes (Jikes instrumentation, issued by the
  *    thread scheduler at dispatch time).
  *
- * Each write optionally charges the CPU a small I/O-store cost so the
- * perturbation of the measurement itself can be studied.
+ * Each write optionally charges the CPU a small I/O-store cost (2
+ * cycles) so the perturbation of the measurement itself can be studied.
  */
 
 #ifndef JAVELIN_CORE_COMPONENT_PORT_HH
@@ -43,9 +43,7 @@ class ComponentPort
 
     struct Config
     {
-        /** Cycles charged to the CPU per port write (I/O store cost). */
-        double writeCostCycles = 2.0;
-        /** Whether to charge the write cost at all. */
+        /** Whether to charge each write's I/O store cost at all. */
         bool chargeWrites = true;
     };
 

@@ -18,21 +18,15 @@ Daq::Daq(sim::System &system, ComponentPort &port)
 }
 
 Daq::Daq(sim::System &system, ComponentPort &port, const Config &config)
-    : system_(system), port_(port),
-      period_(config.period ? config.period : system.spec().daqPeriod),
+    : system_(system), port_(port), period_(system.spec().daqPeriod),
       cpuSense_(config.cpuSense), memSense_(config.memSense),
-      spool_(config.spool), keepInMemory_(config.keepInMemory)
+      spool_(config.spool)
 {
     JAVELIN_ASSERT(period_ > 0, "DAQ period must be positive");
-    JAVELIN_ASSERT(keepInMemory_ || spool_,
-                   "spool-only capture needs a spool");
     if (spool_)
         JAVELIN_ASSERT(spool_->kind() == tracefmt::RecordKind::Power,
                        "DAQ spool must carry power records");
-    // Pre-size only a trace that lives in memory; spooled capture is
-    // bounded by the spool's one block buffer.
-    if (keepInMemory_)
-        trace_.reserve(kTraceReserve);
+    trace_.reserve(kTraceReserve);
     refTick_ = system_.cpu().now();
     // Snapshot the energy baseline at attach time: a DAQ connected to a
     // warm system must not attribute pre-attach energy to its first
@@ -84,16 +78,9 @@ Daq::sample(Tick now)
         s.cpuWatts = lastCpuWatts_;
         s.memWatts = lastMemWatts_;
     }
-    if (keepInMemory_)
-        trace_.push_back(s);
+    trace_.push_back(s);
     if (spool_)
         spool_->append(s);
-    ++samplesTaken_;
-    // Same term, same order as integrate{Cpu,Mem}Joules over the
-    // trace: the running totals are bit-identical to an end-of-run
-    // integration, and available in spool-only mode.
-    cpuJoules_.add(s.cpuWatts * ticksToSeconds(s.windowTicks));
-    memJoules_.add(s.memWatts * ticksToSeconds(s.windowTicks));
 
     refCpuJoules_ = cpuJ;
     refMemJoules_ = memJ;
@@ -106,9 +93,9 @@ Daq::stop()
     if (stopped_)
         return;
     // The final partial window [refTick_, now) goes through the exact
-    // periodic-sample path, so its term lands in the running Neumaier
-    // totals in the same order an on-schedule sample's would. A stop
-    // that lands exactly on a sample boundary has nothing to flush.
+    // periodic-sample path, so it joins the trace (and the measured
+    // totals) as an on-schedule sample would. A stop that lands
+    // exactly on a sample boundary has nothing to flush.
     system_.syncPower();
     if (system_.cpu().now() > refTick_)
         sample(system_.cpu().now());
@@ -118,13 +105,13 @@ Daq::stop()
 double
 Daq::measuredCpuJoules() const
 {
-    return cpuJoules_.value();
+    return integrateCpuJoules(trace_);
 }
 
 double
 Daq::measuredMemJoules() const
 {
-    return memJoules_.value();
+    return integrateMemJoules(trace_);
 }
 
 } // namespace core

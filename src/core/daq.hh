@@ -19,7 +19,6 @@
 #include "core/trace_spool.hh"
 #include "core/traces.hh"
 #include "sim/system.hh"
-#include "util/kahan.hh"
 
 namespace javelin {
 namespace core {
@@ -32,39 +31,32 @@ class Daq
   public:
     struct Config
     {
-        /** Sampling period; 0 means "use the platform's default". */
-        Tick period = 0;
         /** CPU rail sense channel. */
         SenseResistor::Config cpuSense;
         /** Memory rail sense channel. */
         SenseResistor::Config memSense;
         /**
-         * Spool sink (non-owning): every sample is appended to this
-         * spool as it is taken. With keepInMemory left on this tees
-         * capture (the differential oracle); with it off, capture
-         * runs at flat RSS for arbitrarily long traces.
+         * Spool sink (non-owning): every sample is also appended to
+         * this spool as it is taken (tee capture; the in-memory trace
+         * is always kept).
          */
         TraceSpool *spool = nullptr;
-        /** Keep the in-memory PowerTrace (the oracle mode). */
-        bool keepInMemory = true;
     };
 
     Daq(sim::System &system, ComponentPort &port);
     Daq(sim::System &system, ComponentPort &port, const Config &config);
 
-    /** Sampling period actually in use. */
+    /** Sampling period: the platform's PlatformSpec::daqPeriod. */
     Tick period() const { return period_; }
 
-    /** In-memory trace; empty in spool-only capture mode. */
+    /** Every sample taken, in order. */
     const PowerTrace &trace() const { return trace_; }
 
-    /** Samples taken (both modes). */
-    std::uint64_t samplesTaken() const { return samplesTaken_; }
-
-    /** Total measured CPU energy: sum of sample power * actual window. */
+    /** Total measured CPU energy: sum of sample power * actual window
+     *  (integrateCpuJoules over the trace). */
     double measuredCpuJoules() const;
 
-    /** Total measured memory energy. */
+    /** Total measured memory energy (integrateMemJoules). */
     double measuredMemJoules() const;
 
     /**
@@ -89,18 +81,7 @@ class Daq
     SenseResistor memSense_;
     PowerTrace trace_;
     TraceSpool *spool_ = nullptr;
-    bool keepInMemory_ = true;
     bool stopped_ = false;
-    std::uint64_t samplesTaken_ = 0;
-
-    /**
-     * Running compensated energy integrals, accumulated sample by
-     * sample in the exact order integrateCpuJoules/integrateMemJoules
-     * walk the trace, so measured totals are bit-identical between
-     * the in-memory and spooled capture modes.
-     */
-    NeumaierSum cpuJoules_;
-    NeumaierSum memJoules_;
 
     double refCpuJoules_ = 0.0;
     double refMemJoules_ = 0.0;

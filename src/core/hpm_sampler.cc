@@ -19,20 +19,15 @@ HpmSampler::HpmSampler(sim::System &system, ComponentPort &port)
 
 HpmSampler::HpmSampler(sim::System &system, ComponentPort &port,
                        const Config &config)
-    : system_(system), port_(port),
-      period_(config.period ? config.period : system.spec().hpmPeriod),
-      isrCostCycles_(config.isrCostCycles), spool_(config.spool),
-      keepInMemory_(config.keepInMemory)
+    : system_(system), port_(port), period_(system.spec().hpmPeriod),
+      isrCostCycles_(config.isrCostCycles), spool_(config.spool)
 {
     JAVELIN_ASSERT(period_ > 0, "HPM period must be positive");
-    JAVELIN_ASSERT(keepInMemory_ || spool_,
-                   "spool-only capture needs a spool");
     if (spool_)
         JAVELIN_ASSERT(spool_->kind() ==
                            core::tracefmt::RecordKind::Perf,
                        "HPM spool must carry perf records");
-    if (keepInMemory_)
-        trace_.reserve(kTraceReserve);
+    trace_.reserve(kTraceReserve);
     last_ = system_.counters();
     system_.addPeriodicTask("hpm", period_,
                             [this](Tick now) { sample(now); });
@@ -51,11 +46,9 @@ HpmSampler::stop()
     s.tick = system_.cpu().now();
     s.component = port_.current();
     s.delta = current - last_;
-    if (keepInMemory_)
-        trace_.push_back(s);
+    trace_.push_back(s);
     if (spool_)
         spool_->append(s);
-    ++samplesTaken_;
     last_ = current;
 }
 
@@ -73,11 +66,9 @@ HpmSampler::sample(Tick now)
     s.tick = now;
     s.component = port_.current();
     s.delta = current - last_;
-    if (keepInMemory_)
-        trace_.push_back(s);
+    trace_.push_back(s);
     if (spool_)
         spool_->append(s);
-    ++samplesTaken_;
     last_ = current;
 }
 

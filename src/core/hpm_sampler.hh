@@ -28,12 +28,8 @@ class HpmSampler
   public:
     struct Config
     {
-        /** Sampling period; 0 means "use the platform's OS timer". */
-        Tick period = 0;
         /** Spool sink (non-owning); see Daq::Config::spool. */
         TraceSpool *spool = nullptr;
-        /** Keep the in-memory PerfTrace (the oracle mode). */
-        bool keepInMemory = true;
         /**
          * CPU cycles charged per sample for the timer ISR that reads
          * the counters (the measurement infrastructure's own
@@ -47,11 +43,10 @@ class HpmSampler
     HpmSampler(sim::System &system, ComponentPort &port,
                const Config &config);
 
+    /** Sampling period: the platform's PlatformSpec::hpmPeriod. */
     Tick period() const { return period_; }
-    /** In-memory trace; empty in spool-only capture mode. */
+    /** Every sample taken, in order. */
     const PerfTrace &trace() const { return trace_; }
-    /** Samples taken (both modes). */
-    std::uint64_t samplesTaken() const { return samplesTaken_; }
 
     /**
      * Detach: flush the counter delta accumulated since the last
@@ -71,9 +66,7 @@ class HpmSampler
     double isrCostCycles_ = 0.0;
     PerfTrace trace_;
     TraceSpool *spool_ = nullptr;
-    bool keepInMemory_ = true;
     bool stopped_ = false;
-    std::uint64_t samplesTaken_ = 0;
     sim::PerfCounters last_;
 };
 

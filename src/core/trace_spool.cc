@@ -156,9 +156,6 @@ TraceSpool::close()
     if (closed_)
         return;
     writeBlock();
-    if (config_.fsyncOnClose && ::fsync(fd_) != 0)
-        JAVELIN_FATAL("trace spool: fsync of ", config_.path,
-                      " failed: ", std::strerror(errno));
     ::close(fd_);
     fd_ = -1;
     closed_ = true;

@@ -51,8 +51,6 @@ class TraceSpool
          * at least one record.
          */
         std::size_t bufferBytes = 1 << 20;
-        /** fsync the file before closing it. */
-        bool fsyncOnClose = false;
         /**
          * Fault injection (0 = off): the Nth block write is
          * deliberately torn — only half its bytes reach the file —

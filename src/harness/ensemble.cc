@@ -12,16 +12,6 @@
 namespace javelin {
 namespace harness {
 
-namespace {
-
-const char *
-platformName(sim::PlatformKind kind)
-{
-    return kind == sim::PlatformKind::P6 ? "P6" : "PXA255";
-}
-
-} // namespace
-
 std::vector<double>
 ensembleMetrics(const ExperimentResult &res)
 {
@@ -52,6 +42,9 @@ ensembleMetrics(const ExperimentResult &res)
 }
 
 namespace {
+
+/** Seed for the bootstrap resampling RNG. */
+constexpr std::uint64_t kBootstrapSeed = 0x1ceb00daULL;
 
 /** FNV-1a, so bootstrap streams are stable across standard libraries. */
 std::uint64_t
@@ -135,7 +128,7 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
             << jvm::vmKindName(cells[c].config.vm) << '/'
             << jvm::collectorName(cells[c].config.collector) << '/'
             << cells[c].config.heapNominalMB << "MB/"
-            << platformName(cells[c].config.platform);
+            << sim::platformName(cells[c].config.platform);
         cell.key = key.str();
 
         cell.metrics.resize(names.size());
@@ -156,12 +149,12 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
         for (std::size_t m = 0; m < names.size(); ++m) {
             auto &metric = cell.metrics[m];
             // Distinct bootstrap stream per (cell, metric): mix the
-            // configured seed with stable identifiers, not positions.
+            // bootstrap seed with stable identifiers, not positions.
             const std::uint64_t seed = SweepRunner::taskSeed(
-                config_.bootstrapSeed ^ fnv1a(cell.key), m);
+                kBootstrapSeed ^ fnv1a(cell.key), m);
             metric.ci = bootstrapMeanCi(metric.samples,
                                         config_.resamples,
-                                        config_.confidence, seed);
+                                        kEnsembleConfidence, seed);
         }
     }
     return results;
@@ -179,7 +172,7 @@ writeEnsembleReport(std::ostream &os,
         os << (i ? ", " : "") << config.seeds[i];
     os << "],\n";
     os << "  \"confidence\": ";
-    json::writeNumber(os, config.confidence);
+    json::writeNumber(os, kEnsembleConfidence);
     os << ",\n  \"resamples\": " << config.resamples << ",\n";
     os << "  \"sense_noise_volts_rms\": ";
     json::writeNumber(os, config.senseNoiseVoltsRms);
@@ -197,7 +190,8 @@ writeEnsembleReport(std::ostream &os,
         json::writeString(os, jvm::vmKindName(cell.cell.config.vm));
         os << ",\n      \"heap_mb\": " << cell.cell.config.heapNominalMB;
         os << ",\n      \"platform\": ";
-        json::writeString(os, platformName(cell.cell.config.platform));
+        json::writeString(os,
+                          sim::platformName(cell.cell.config.platform));
         os << ",\n      \"failures\": " << cell.failures;
         os << ",\n      \"metrics\": {\n";
         for (std::size_t m = 0; m < cell.metrics.size(); ++m) {

@@ -58,6 +58,9 @@ struct EnsembleCellResult
     const MetricSummary *metric(const std::string &name) const;
 };
 
+/** Two-sided confidence level of every ensemble CI. */
+inline constexpr double kEnsembleConfidence = 0.95;
+
 /**
  * Ensemble runner configuration. The seed list is explicit (not a
  * count) so baselines can pin the exact ensemble they were captured
@@ -70,10 +73,6 @@ struct EnsembleConfig
     std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
     /** Bootstrap resamples per metric. */
     std::size_t resamples = 2000;
-    /** Two-sided CI confidence level. */
-    double confidence = 0.95;
-    /** Seed for the bootstrap resampling RNG. */
-    std::uint64_t bootstrapSeed = 0x1ceb00daULL;
     /** Gaussian DAQ sense noise applied to every run (volts RMS). */
     double senseNoiseVoltsRms = 0.0005;
     /** Worker threads (0 = auto, same policy as SweepRunner). */

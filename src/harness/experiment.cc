@@ -180,7 +180,7 @@ runCoTenancy(const ExperimentConfig &config,
     }
 
     core::ComponentPort port(
-        system, core::ComponentPort::Config{2.0, config.chargePortWrites});
+        system, core::ComponentPort::Config{config.chargePortWrites});
 
     TenantSet set(system, port);
     for (std::uint32_t i = 0; i < config.tenants; ++i) {

@@ -17,12 +17,6 @@ namespace {
 constexpr const char *kSchema = "javelin-scenario-v1";
 
 const char *
-platformName(sim::PlatformKind kind)
-{
-    return kind == sim::PlatformKind::P6 ? "P6" : "PXA255";
-}
-
-const char *
 datasetName(workloads::DatasetScale d)
 {
     return d == workloads::DatasetScale::Full ? "Full" : "Small";
@@ -366,7 +360,7 @@ writeScenario(std::ostream &os, const Scenario &s)
     os << "  \"name\": ";
     json::writeString(os, s.name);
     os << ",\n  \"base\": {\n";
-    os << "    \"platform\": \"" << platformName(b.platform) << "\",\n";
+    os << "    \"platform\": \"" << sim::platformName(b.platform) << "\",\n";
     os << "    \"vm\": \"" << jvm::vmKindName(b.vm) << "\",\n";
     os << "    \"collector\": \"" << jvm::collectorName(b.collector)
        << "\",\n";
@@ -411,7 +405,7 @@ writeScenario(std::ostream &os, const Scenario &s)
         os << ",\n    \"platform\": [";
         for (std::size_t i = 0; i < s.platforms.size(); ++i)
             os << (i ? ", " : "") << '"'
-               << platformName(s.platforms[i]) << '"';
+               << sim::platformName(s.platforms[i]) << '"';
         os << "]";
     }
     if (!s.vms.empty()) {
@@ -530,7 +524,7 @@ shardKey(const SweepTask &task)
         << jvm::vmKindName(task.config.vm) << '/'
         << jvm::collectorName(task.config.collector) << '/'
         << task.config.heapNominalMB << "MB/"
-        << platformName(task.config.platform) << "/dvfs"
+        << sim::platformName(task.config.platform) << "/dvfs"
         << task.config.dvfsPoint << "/s" << task.config.seed;
     // Co-tenancy shards carry their service axes; classic shards keep
     // their historical keys so existing checkpoints stay resumable.

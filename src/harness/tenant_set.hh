@@ -12,11 +12,11 @@
  * Scheduling is deterministic round-robin over runnable tenants at
  * interpreter-quantum granularity: every Jvm is put in
  * yield-each-quantum mode, so a slice is exactly one scheduling
- * quantum (quantumBytecodes bytecodes) or less if the request
- * finishes. Tenant switches charge the paper's scheduler-dispatch
- * path, attributed to the incoming tenant. Because all interleaving
- * decisions are functions of simulated state only, a co-tenancy run
- * is bit-for-bit reproducible from its seeds.
+ * quantum (Interpreter::kQuantumBytecodes, 4096 bytecodes) or less if
+ * the request finishes. Tenant switches charge the paper's
+ * scheduler-dispatch path, attributed to the incoming tenant. Because
+ * all interleaving decisions are functions of simulated state only, a
+ * co-tenancy run is bit-for-bit reproducible from its seeds.
  *
  * Energy attribution partitions chronologically: at every scheduling
  * boundary the cumulative platform CPU/memory joules, the elapsed

@@ -7,6 +7,13 @@
 namespace javelin {
 namespace jvm {
 
+namespace {
+
+/** Dependent symbol-table probes per constant-pool entry. */
+constexpr std::uint32_t kResolutionProbes = 2;
+
+} // namespace
+
 ClassLoader::ClassLoader(sim::System &system, core::ComponentPort &port,
                          const Program &program, const Config &config,
                          std::uint64_t seed)
@@ -65,8 +72,7 @@ ClassLoader::loadOne(ClassId id)
     for (std::uint32_t e = 0; e < cls.constantPoolEntries; ++e) {
         std::uint64_t h = (static_cast<std::uint64_t>(id) << 20) ^
                           (e * 0x9e3779b97f4a7c15ULL);
-        for (std::uint32_t probe = 0; probe < config_.resolutionProbes;
-             ++probe) {
+        for (std::uint32_t probe = 0; probe < kResolutionProbes; ++probe) {
             h = h * 6364136223846793005ULL + 1442695040888963407ULL;
             cpu.load(kSymbolTableBase + (h % kSymbolTableBytes & ~7ULL));
             cpu.execute(scaled(9), kClassLoaderCode + 512, 36);

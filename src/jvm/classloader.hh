@@ -43,8 +43,6 @@ class ClassLoader
         std::uint32_t bootClassCount = 0;
         /** Probability of eagerly loading a referenced class. */
         double eagerLoadProbability = 0.35;
-        /** Dependent symbol-table probes per constant-pool entry. */
-        std::uint32_t resolutionProbes = 2;
         /** Extra per-class overhead factor (Kaffe's parser is slower). */
         double costFactor = 1.0;
     };

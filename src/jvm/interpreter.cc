@@ -1,7 +1,6 @@
 #include "jvm/interpreter.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "jvm/op_costs.hh"
 
@@ -42,7 +41,7 @@ Interpreter::Interpreter(sim::System &system, core::ComponentPort &port,
 {
     JAVELIN_ASSERT(methodRt_.size() == program_.methods.size(),
                    "method runtime table size mismatch");
-    frames_.reserve(config_.maxStackDepth);
+    frames_.reserve(kMaxStackDepth);
     // The per-method superinstruction tables (run lengths, micro-op and
     // FP-stall prefix sums) are built once by Program::layout() and
     // shared by every engine instance (DESIGN.md §5g).
@@ -60,9 +59,9 @@ Interpreter::Interpreter(sim::System &system, core::ComponentPort &port,
     // Worst-case pool sizes: storage allocated once and never moved
     // (see the member comment).
     intRegs_.assign(
-        static_cast<std::size_t>(config_.maxStackDepth) * max_int, 0);
+        static_cast<std::size_t>(kMaxStackDepth) * max_int, 0);
     refRegs_.assign(
-        static_cast<std::size_t>(config_.maxStackDepth) * max_ref,
+        static_cast<std::size_t>(kMaxStackDepth) * max_ref,
         kNull);
     buildTierCosts();
 }
@@ -107,11 +106,6 @@ Interpreter::buildTierCosts()
                 static_cast<std::uint8_t>(tc.dispatchUops + v);
         }
     }
-
-    mispredictPow2_ = std::has_single_bit(config_.mispredictOneIn);
-    mispredictMask_ = mispredictPow2_ ? config_.mispredictOneIn - 1 : 0;
-    elidePow2_ = std::has_single_bit(config_.optElideOneIn);
-    elideMask_ = elidePow2_ ? config_.optElideOneIn - 1 : 0;
 }
 
 MethodId
@@ -150,7 +144,7 @@ Interpreter::pushFrame(MethodId id, const Frame *caller,
                        std::int32_t ret_dst, std::int32_t int_arg_base,
                        std::int32_t ref_arg_base)
 {
-    if (frames_.size() >= config_.maxStackDepth)
+    if (frames_.size() >= kMaxStackDepth)
         throw StackOverflowError{};
     prepareMethod(id);
 
@@ -487,12 +481,12 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
                     f->pc += n;
                     pollCountdown -= n;
                     if (pollCountdown == 0) {
-                        pollCountdown = config_.pollInterval;
+                        pollCountdown = kPollInterval;
                         system_.poll();
                     }
                     quantumCountdown -= n;
                     if (quantumCountdown == 0) {
-                        quantumCountdown = config_.quantumBytecodes;
+                        quantumCountdown = kQuantumBytecodes;
                         if (onQuantum)
                             onQuantum();
                         tc = &tierCosts_[static_cast<unsigned>(
@@ -568,11 +562,11 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
             // runSlice's safepoint tail, with the quantum's possible
             // retiering folded in.
             if (--pollCountdown == 0) {
-                pollCountdown = config_.pollInterval;
+                pollCountdown = kPollInterval;
                 system_.poll();
             }
             if (--quantumCountdown == 0) {
-                quantumCountdown = config_.quantumBytecodes;
+                quantumCountdown = kQuantumBytecodes;
                 if (onQuantum)
                     onQuantum();
                 tc = &tierCosts_[static_cast<unsigned>(rt->tier)];
@@ -589,11 +583,11 @@ Interpreter::runTraceFast(sim::CpuModel &cpu,
         // is refreshed from the new top frame. The final Ret leaves
         // the stack empty; dispatch ends the run.
         if (--pollCountdown == 0) {
-            pollCountdown = config_.pollInterval;
+            pollCountdown = kPollInterval;
             system_.poll();
         }
         if (--quantumCountdown == 0) {
-            quantumCountdown = config_.quantumBytecodes;
+            quantumCountdown = kQuantumBytecodes;
             if (onQuantum)
                 onQuantum();
             if (yield_)
@@ -628,8 +622,8 @@ Interpreter::start(MethodId entry)
     result_ = 0;
     segPrepaid_ = 0;
     bcFetchLine_ = ~Address{0};
-    pollCountdown_ = config_.pollInterval;
-    quantumCountdown_ = config_.quantumBytecodes;
+    pollCountdown_ = kPollInterval;
+    quantumCountdown_ = kQuantumBytecodes;
     yield_ = false;
     active_ = true;
     pushFrame(entry, nullptr, -1, 0, 0);
@@ -753,11 +747,11 @@ Interpreter::runSlice()
 
         // Safepoint tail after every bytecode (including Call/Ret/Halt).
         if (--pollCountdown == 0) {
-            pollCountdown = config_.pollInterval;
+            pollCountdown = kPollInterval;
             system_.poll();
         }
         if (--quantumCountdown == 0) {
-            quantumCountdown = config_.quantumBytecodes;
+            quantumCountdown = kQuantumBytecodes;
             if (onQuantum)
                 onQuantum();
         }

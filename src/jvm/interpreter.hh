@@ -50,7 +50,7 @@ struct OutOfMemoryError
     std::uint32_t requestedBytes = 0;
 };
 
-/** Thrown when the call stack exceeds its configured limit. */
+/** Thrown when the call stack exceeds Interpreter::kMaxStackDepth. */
 struct StackOverflowError
 {
 };
@@ -65,16 +65,6 @@ class Interpreter
     {
         /** Tier installed on a method's first invocation. */
         Tier compileOnInvoke = Tier::Baseline;
-        /** Bytecodes between scheduler-quantum callbacks. */
-        std::uint32_t quantumBytecodes = 4096;
-        /** Bytecodes between periodic-task polls. */
-        std::uint32_t pollInterval = 16;
-        /** Maximum call depth. */
-        std::uint32_t maxStackDepth = 256;
-        /** Taken branches mispredicted: one in N. */
-        std::uint32_t mispredictOneIn = 8;
-        /** Scalar field accesses elided in optimized code: one in N. */
-        std::uint32_t optElideOneIn = 4;
         /**
          * Use the execute-batching fast path (DESIGN.md §5f): maximal
          * straight-line runs of foldable bytecodes execute in one host
@@ -145,6 +135,13 @@ class Interpreter
     const Config &config() const { return config_; }
 
   private:
+    /** Bytecodes between scheduler-quantum callbacks. */
+    static constexpr std::uint32_t kQuantumBytecodes = 4096;
+    /** Bytecodes between periodic-task polls. */
+    static constexpr std::uint32_t kPollInterval = 16;
+    /** Maximum call depth. */
+    static constexpr std::uint32_t kMaxStackDepth = 256;
+
     struct Frame
     {
         const MethodInfo *method;
@@ -222,15 +219,15 @@ class Interpreter
     void runTraceFast(sim::CpuModel &cpu, std::uint32_t &poll_countdown,
                       std::uint32_t &quantum_countdown);
 
-    /** Taken-branch mispredict gate; counts and fires exactly like the
-     *  original (++branchCounter_ % mispredictOneIn) == 0. */
+    /** Taken branches mispredicted: one in N. */
+    static constexpr std::uint32_t kMispredictOneIn = 8;
+    /** Scalar field accesses elided in optimized code: one in N. */
+    static constexpr std::uint32_t kOptElideOneIn = 4;
+
     bool
     fireMispredict()
     {
-        ++branchCounter_;
-        return mispredictPow2_
-            ? (branchCounter_ & mispredictMask_) == 0
-            : branchCounter_ % config_.mispredictOneIn == 0;
+        return ++branchCounter_ % kMispredictOneIn == 0;
     }
 
     bool
@@ -238,9 +235,7 @@ class Interpreter
     {
         if (f.rt->tier != Tier::Optimized)
             return false;
-        ++elideCounter_;
-        return elidePow2_ ? (elideCounter_ & elideMask_) == 0
-                          : elideCounter_ % config_.optElideOneIn == 0;
+        return ++elideCounter_ % kOptElideOneIn == 0;
     }
 
     Address allocObject(ClassId cls_id, std::uint32_t array_len);
@@ -263,13 +258,9 @@ class Interpreter
     Rng rng_;
 
     TierCost tierCosts_[4]; // indexed by static_cast<unsigned>(Tier)
-    std::uint32_t mispredictMask_ = 0;
-    std::uint32_t elideMask_ = 0;
-    bool mispredictPow2_ = true;
-    bool elidePow2_ = true;
 
     std::vector<Frame> frames_;
-    /** Register pools, sized once (maxStackDepth * widest method) so
+    /** Register pools, sized once (kMaxStackDepth * widest method) so
      *  the storage never moves: a frame push zero-fills its window and
      *  bumps the top, a pop drops the top back — no per-call vector
      *  resize, and every pointer the trace executor hoists stays valid

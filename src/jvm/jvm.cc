@@ -5,6 +5,17 @@
 namespace javelin {
 namespace jvm {
 
+namespace {
+
+/** Adaptive-system sampling interval (Jikes only). */
+constexpr Tick kSampleInterval = 100 * kTicksPerMicro;
+/** Samples before a method is declared hot. */
+constexpr std::uint32_t kHotSampleThreshold = 4;
+/** Opt-compiler work units per service-thread slice. */
+constexpr std::uint32_t kOptSliceUnits = 800;
+
+} // namespace
+
 const char *
 vmKindName(VmKind kind)
 {
@@ -85,7 +96,7 @@ Jvm::Jvm(sim::System &system, const Program &program,
                      ? nullptr
                      : std::make_unique<core::ComponentPort>(
                            system, core::ComponentPort::Config{
-                                       2.0, config.chargePortWrites})),
+                                       config.chargePortWrites})),
       port_(shared_port ? *shared_port : *ownedPort_),
       heap_(config.heapBytes),
       om_(heap_, system.cpu(), program.classes),
@@ -117,12 +128,19 @@ Jvm::Jvm(sim::System &system, const Program &program,
     };
 
     if (config_.kind == VmKind::Jikes && config_.adaptiveOptimization) {
-        system_.addPeriodicTask("adaptive-sampler", config_.sampleInterval,
-                                [this](Tick now) { adaptiveSample(now); });
+        samplerTask_ = system_.addPeriodicTask(
+            "adaptive-sampler", kSampleInterval,
+            [this](Tick now) { adaptiveSample(now); });
     }
 }
 
-Jvm::~Jvm() = default;
+Jvm::~Jvm()
+{
+    // The System outlives this VM (several VMs may run back to back on
+    // one System); its sampler task must not outlive it.
+    if (samplerTask_)
+        system_.removePeriodicTask(samplerTask_);
+}
 
 void
 Jvm::chargeSchedulerDispatch()
@@ -198,7 +216,7 @@ Jvm::adaptiveSample(Tick now)
     MethodRuntime &rt = methodRt_[mid];
     ++rt.samples;
     if (rt.tier == Tier::Baseline && !rt.optRequested &&
-        rt.samples >= config_.hotSampleThreshold) {
+        rt.samples >= kHotSampleThreshold) {
         rt.optRequested = true;
         compiler_.optCompileStart(program_.methods[mid], rt);
         optQueue_.push_back(mid);
@@ -216,7 +234,7 @@ Jvm::serviceQuantum()
         core::ComponentScope scope(port_, core::ComponentId::OptCompiler);
         const MethodId mid = optQueue_.front();
         if (compiler_.optCompileStep(program_.methods[mid], methodRt_[mid],
-                                     config_.optSliceUnits))
+                                     kOptSliceUnits))
             optQueue_.pop_front();
     }
     chargeSchedulerDispatch();

@@ -45,12 +45,6 @@ struct JvmConfig
     /** Heap size in (already scaled) bytes. */
     std::uint64_t heapBytes = 4 * kMiB;
 
-    /** Adaptive-system sampling interval (Jikes only). */
-    Tick sampleInterval = 100 * kTicksPerMicro;
-    /** Samples before a method is declared hot. */
-    std::uint32_t hotSampleThreshold = 4;
-    /** Opt-compiler work units per service-thread slice. */
-    std::uint32_t optSliceUnits = 800;
     /** Enable the adaptive optimizing system (Jikes only). */
     bool adaptiveOptimization = true;
 
@@ -173,6 +167,8 @@ class Jvm : public GcHost
     std::vector<MethodRuntime> methodRt_;
     std::unique_ptr<Interpreter> engine_;
     std::deque<MethodId> optQueue_;
+    /** The adaptive-sampler task (0 if none); removed by ~Jvm. */
+    sim::System::TaskId samplerTask_ = 0;
     bool running_ = false;
     bool onCpu_ = true;
     bool yieldEachQuantum_ = false;

@@ -130,6 +130,12 @@ pxa255Spec()
     return spec;
 }
 
+const char *
+platformName(PlatformKind kind)
+{
+    return kind == PlatformKind::P6 ? "P6" : "PXA255";
+}
+
 PlatformSpec
 platformSpec(PlatformKind kind)
 {

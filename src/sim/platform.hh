@@ -31,6 +31,10 @@ namespace sim {
 /** Which of the paper's boards a spec describes. */
 enum class PlatformKind { P6, Pxa255 };
 
+/** Short name of a board ("P6", "PXA255"), as used in scenario files,
+ *  shard keys and ensemble cell keys. */
+const char *platformName(PlatformKind kind);
+
 /**
  * Complete description of one hardware platform.
  */

@@ -17,14 +17,27 @@ System::System(const PlatformSpec &spec)
                     [this](Tick now) { thermalStep(now); });
 }
 
-void
+System::TaskId
 System::addPeriodicTask(const std::string &name, Tick period, TaskFn fn,
                         Tick phase)
 {
     JAVELIN_ASSERT(period > 0, "periodic task needs a positive period");
-    TaskEntry entry{name, period, cpu_.now() + period + phase,
-                    std::move(fn)};
+    TaskEntry entry{++lastTaskId_, name, period,
+                    cpu_.now() + period + phase, std::move(fn)};
     tasks_.push_back(std::move(entry));
+    recomputeNextDue();
+    return lastTaskId_;
+}
+
+void
+System::removePeriodicTask(TaskId id)
+{
+    const auto it = std::find_if(tasks_.begin(), tasks_.end(),
+                                 [id](const TaskEntry &t) {
+                                     return t.id == id;
+                                 });
+    JAVELIN_ASSERT(it != tasks_.end(), "no periodic task with id ", id);
+    tasks_.erase(it);
     recomputeNextDue();
 }
 

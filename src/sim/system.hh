@@ -37,6 +37,8 @@ class System
 {
   public:
     using TaskFn = std::function<void(Tick)>;
+    /** Handle of a registered periodic task; never 0. */
+    using TaskId = std::uint64_t;
 
     explicit System(const PlatformSpec &spec);
 
@@ -64,8 +66,15 @@ class System
      * Register a periodic task. The first firing happens one period from
      * the current time (plus optional phase offset).
      */
-    void addPeriodicTask(const std::string &name, Tick period, TaskFn fn,
-                         Tick phase = 0);
+    TaskId addPeriodicTask(const std::string &name, Tick period,
+                           TaskFn fn, Tick phase = 0);
+
+    /**
+     * Unregister a task; the others keep their firing order. An owner
+     * whose task captures it must remove the task before it dies, or
+     * the System keeps calling into the dead object.
+     */
+    void removePeriodicTask(TaskId id);
 
     /** Fire every task whose deadline has passed. Cheap when none is due. */
     void
@@ -102,6 +111,7 @@ class System
 
     struct TaskEntry
     {
+        TaskId id;
         std::string name;
         Tick period;
         Tick next;
@@ -122,6 +132,7 @@ class System
     DvfsController dvfs_;
 
     std::vector<TaskEntry> tasks_;
+    TaskId lastTaskId_ = 0;
     Tick nextDue_ = std::numeric_limits<Tick>::max();
 
     // Thermal integration window state.

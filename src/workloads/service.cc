@@ -8,6 +8,24 @@
 namespace javelin {
 namespace workloads {
 
+namespace {
+
+/** Bursty: on-phase rate multiplier. */
+constexpr double kBurstFactor = 3.0;
+/** Bursty: fraction of the cycle spent in the on-phase. */
+constexpr double kBurstFraction = 0.25;
+/** Diurnal: relative amplitude of the sinusoid. */
+constexpr double kDiurnalAmplitude = 0.8;
+/** Bursty/Diurnal: modulation period (simulated seconds). */
+constexpr double kCyclePeriodSec = 0.02;
+
+// The off-phase keeps a positive rate, so the thinning loop always
+// terminates, and the sinusoid never drives the rate below zero.
+static_assert(kBurstFactor >= 1.0 && kBurstFraction * kBurstFactor < 1.0);
+static_assert(kDiurnalAmplitude >= 0.0 && kDiurnalAmplitude < 1.0);
+
+} // namespace
+
 const char *
 arrivalKindName(ArrivalKind kind)
 {
@@ -47,12 +65,10 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &config,
         peakRate_ = config_.ratePerSec;
         break;
       case ArrivalKind::Bursty:
-        peakRate_ = config_.ratePerSec *
-                    std::max(1.0, config_.burstFactor);
+        peakRate_ = config_.ratePerSec * kBurstFactor;
         break;
       case ArrivalKind::Diurnal:
-        peakRate_ = config_.ratePerSec *
-                    (1.0 + std::min(config_.diurnalAmplitude, 0.999));
+        peakRate_ = config_.ratePerSec * (1.0 + kDiurnalAmplitude);
         break;
     }
 }
@@ -66,24 +82,18 @@ ArrivalProcess::rateAt(double t_sec) const
         return rate;
       case ArrivalKind::Bursty: {
         // Square wave, mean rate preserved: the on-phase runs at
-        // burstFactor * rate for burstFraction of the cycle, the
-        // off-phase absorbs the remainder (floored at a trickle so the
-        // thinning loop always terminates).
-        const double f = std::clamp(config_.burstFraction, 0.01, 0.99);
-        const double bf = std::max(1.0, config_.burstFactor);
+        // kBurstFactor * rate for kBurstFraction of the cycle, the
+        // off-phase absorbs the remainder.
         const double phase =
-            std::fmod(t_sec, config_.cyclePeriodSec) /
-            config_.cyclePeriodSec;
-        if (phase < f)
-            return rate * bf;
-        return std::max(rate * (1.0 - f * bf) / (1.0 - f),
-                        rate * 1e-3);
+            std::fmod(t_sec, kCyclePeriodSec) / kCyclePeriodSec;
+        if (phase < kBurstFraction)
+            return rate * kBurstFactor;
+        return rate * (1.0 - kBurstFraction * kBurstFactor) /
+               (1.0 - kBurstFraction);
       }
       case ArrivalKind::Diurnal: {
-        const double a = std::min(config_.diurnalAmplitude, 0.999);
-        const double w = 2.0 * 3.14159265358979323846 /
-                         config_.cyclePeriodSec;
-        return rate * (1.0 + a * std::sin(w * t_sec));
+        const double w = 2.0 * 3.14159265358979323846 / kCyclePeriodSec;
+        return rate * (1.0 + kDiurnalAmplitude * std::sin(w * t_sec));
       }
     }
     JAVELIN_PANIC("bad arrival kind");

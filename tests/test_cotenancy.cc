@@ -119,7 +119,7 @@ TEST(CoTenancy, IdleTenantAttributesOnlyBootEnergy)
         workloads::buildProgram(profile, scale);
 
     core::ComponentPort port(
-        system, core::ComponentPort::Config{2.0, cfg.chargePortWrites});
+        system, core::ComponentPort::Config{cfg.chargePortWrites});
     TenantSet set(system, port);
 
     TenantSpec busy;

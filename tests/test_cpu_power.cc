@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "sim/platform.hh"
 #include "sim/system.hh"
@@ -399,6 +400,20 @@ TEST(System, PeriodicTasksFire)
     }
     EXPECT_GE(fired, 95);
     EXPECT_LE(fired, 105);
+}
+
+TEST(System, RemovedTaskStopsFiringOthersKeepOrder)
+{
+    System sys(tinySpec());
+    std::string order;
+    sys.addPeriodicTask("a", kTicksPerMilli, [&](Tick) { order += 'a'; });
+    const auto b = sys.addPeriodicTask("b", kTicksPerMilli,
+                                       [&](Tick) { order += 'b'; });
+    sys.addPeriodicTask("c", kTicksPerMilli, [&](Tick) { order += 'c'; });
+    sys.idleFor(kTicksPerMilli);
+    sys.removePeriodicTask(b);
+    sys.idleFor(kTicksPerMilli);
+    EXPECT_EQ(order, "abcac");
 }
 
 TEST(System, IdleForFiresTasks)

@@ -64,9 +64,7 @@ TEST(DaqFixes, BurstyWindowsReconcileButPeriodWeightingDoesNot)
 {
     System sys(testSpec());
     ComponentPort port(sys);
-    Daq::Config cfg;
-    cfg.period = 40 * kTicksPerMicro;
-    Daq daq(sys, port, cfg);
+    Daq daq(sys, port);
     const Tick p = daq.period();
 
     // Alternate high-power bursts that overrun the sampling period
@@ -206,9 +204,9 @@ TEST(DaqFixes, StopFlushesFinalPartialWindow)
     const double truncated = daq.measuredCpuJoules();
     EXPECT_LT(truncated, model * 0.995);
 
-    const auto samplesBefore = daq.samplesTaken();
+    const auto samplesBefore = daq.trace().size();
     daq.stop();
-    EXPECT_EQ(daq.samplesTaken(), samplesBefore + 1);
+    EXPECT_EQ(daq.trace().size(), samplesBefore + 1);
     EXPECT_NEAR(daq.measuredCpuJoules(), model, model * 1e-9);
     EXPECT_NEAR(daq.measuredMemJoules(), modelMem, modelMem * 1e-9);
 
@@ -217,7 +215,7 @@ TEST(DaqFixes, StopFlushesFinalPartialWindow)
     daq.stop();
     const double stopped = daq.measuredCpuJoules();
     sys.idleFor(5 * p);
-    EXPECT_EQ(daq.samplesTaken(), samplesBefore + 1);
+    EXPECT_EQ(daq.trace().size(), samplesBefore + 1);
     EXPECT_EQ(daq.measuredCpuJoules(), stopped);
 }
 
@@ -236,9 +234,9 @@ TEST(DaqFixes, StopOnBoundaryFlushesNothing)
     // Land exactly on the next boundary and let the periodic sample
     // fire there.
     sys.idleFor(5 * p - sys.cpu().now());
-    const auto samplesBefore = daq.samplesTaken();
+    const auto samplesBefore = daq.trace().size();
     daq.stop();
-    EXPECT_EQ(daq.samplesTaken(), samplesBefore);
+    EXPECT_EQ(daq.trace().size(), samplesBefore);
     EXPECT_TRUE(daq.stopped());
 }
 

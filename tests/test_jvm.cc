@@ -173,6 +173,24 @@ TEST(Adaptive, HotMethodGetsOptimized)
     EXPECT_GT(truth.slice(core::ComponentId::Scheduler).cpuJoules, 0.0);
 }
 
+TEST(Adaptive, DestroyedVmLeavesNoSamplerTask)
+{
+    // VMs run back to back on one System (the thermal studies): a dead
+    // VM's 100 us sampler must not stay registered, calling into it.
+    const Program p = hotLoopProgram(100);
+    sim::System system(sim::p6Spec());
+    ASSERT_EQ(system.nextTaskDue(), 200 * kTicksPerMicro); // thermal
+    {
+        JvmConfig cfg;
+        cfg.kind = VmKind::Jikes;
+        cfg.heapBytes = 256 * kKiB;
+        cfg.adaptiveOptimization = true;
+        Jvm vm(system, p, cfg);
+        EXPECT_EQ(system.nextTaskDue(), 100 * kTicksPerMicro);
+    }
+    EXPECT_EQ(system.nextTaskDue(), 200 * kTicksPerMicro);
+}
+
 TEST(Adaptive, OptimizationPaysOffOnLongRuns)
 {
     const auto timeFor = [](bool adaptive) {

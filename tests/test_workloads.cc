@@ -3,7 +3,8 @@
  * Tests for the benchmark suite and program builder: every profile must
  * produce a verifiable program whose runtime behaviour matches its
  * declared characteristics (allocation volume, live set, class count),
- * and checksums must be reproducible.
+ * and checksums must be reproducible. Also the shapes of the service
+ * request arrival processes.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "jvm/jvm.hh"
 #include "sim/platform.hh"
 #include "workloads/program_builder.hh"
+#include "workloads/service.hh"
 #include "workloads/suite.hh"
 
 using namespace javelin;
@@ -191,4 +193,42 @@ TEST(Builder, ColdCallsLoadClassesOverTime)
     // Well beyond the app classes: cold dispatch loaded cold classes.
     EXPECT_GT(vm.classLoader().classesLoaded(),
               profile.appClasses + profile.coldMethods / 4);
+}
+
+/**
+ * 2000 requests/s over 200 cycles of 20 ms: every shape keeps the mean
+ * rate. Bursty puts 3 x 0.25 = 75 % of its arrivals in the first
+ * quarter of each cycle, Diurnal (1 + 0.8 * 2/pi) / 2 = 75.5 % in the
+ * first half, and Poisson 25 % in the first quarter.
+ */
+TEST(Arrivals, ShapesFollowTheirCycle)
+{
+    constexpr double kRate = 2000.0;
+    constexpr Tick kCycle = 20 * kTicksPerMilli;
+    constexpr Tick kHorizon = 200 * kCycle;
+    struct Shape
+    {
+        ArrivalKind kind;
+        Tick window;
+        double lo, hi;
+    };
+    for (const Shape &shape :
+         {Shape{ArrivalKind::Poisson, kCycle / 4, 0.22, 0.28},
+          Shape{ArrivalKind::Bursty, kCycle / 4, 0.72, 0.78},
+          Shape{ArrivalKind::Diurnal, kCycle / 2, 0.72, 0.78}}) {
+        ArrivalConfig cfg;
+        cfg.kind = shape.kind;
+        cfg.ratePerSec = kRate;
+        ArrivalProcess arrivals(cfg, 1);
+        double total = 0, inWindow = 0;
+        for (Tick t = arrivals.next(); t < kHorizon; t = arrivals.next()) {
+            ++total;
+            inWindow += t % kCycle < shape.window;
+        }
+        const double expected = kRate * ticksToSeconds(kHorizon);
+        const char *name = arrivalKindName(shape.kind);
+        EXPECT_NEAR(total, expected, 0.03 * expected) << name;
+        EXPECT_GE(inWindow / total, shape.lo) << name;
+        EXPECT_LE(inWindow / total, shape.hi) << name;
+    }
 }
