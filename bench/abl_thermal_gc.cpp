@@ -59,16 +59,15 @@ runScenario(bool thermal_gc, double guard_temp_c)
     // iteration in flight (null between runs).
     jvm::Jvm *current = nullptr;
     if (thermal_gc) {
-        system.addPeriodicTask(
-            "thermal-gc", 200 * kTicksPerMicro, [&](Tick) {
-                if (!current)
-                    return;
-                if (system.thermal().temperatureC() < guard_temp_c)
-                    return;
-                if (current->port().current() != core::ComponentId::App)
-                    return; // never re-enter the collector
-                current->collector().collect(false);
-            });
+        system.addPeriodicTask(200 * kTicksPerMicro, [&](Tick) {
+            if (!current)
+                return;
+            if (system.thermal().temperatureC() < guard_temp_c)
+                return;
+            if (current->port().current() != core::ComponentId::App)
+                return; // never re-enter the collector
+            current->collector().collect(false);
+        });
     }
     const Tick horizon = secondsToTicks(180.0 / kThermalScale);
     while (system.cpu().now() < horizon) {

@@ -47,12 +47,11 @@ runScenario(bool fan_enabled, double paper_seconds)
     system.thermal().setFanEnabled(fan_enabled);
 
     std::vector<TracePoint> trace;
-    system.addPeriodicTask(
-        "trace", 500 * kTicksPerMicro, [&](Tick now) {
-            trace.push_back({ticksToSeconds(now) * kThermalScale,
-                             system.thermal().temperatureC(),
-                             system.cpu().dutyCycle()});
-        });
+    system.addPeriodicTask(500 * kTicksPerMicro, [&](Tick now) {
+        trace.push_back({ticksToSeconds(now) * kThermalScale,
+                         system.thermal().temperatureC(),
+                         system.cpu().dutyCycle()});
+    });
 
     jvm::JvmConfig cfg;
     cfg.collector = jvm::CollectorKind::GenCopy;

@@ -4,10 +4,13 @@
  * power samples and the HPM counter samples — so the paper's figures
  * can be re-plotted from javelin data with any plotting tool.
  *
- * Capture tees through the trace spool (DESIGN.md §10): samples
- * stream to javelin-trace-v1 binary files as the run executes, and the
- * CSVs are decoded from the binary traces afterwards. `javelin-trace
- * cat/index/range` can inspect the .jtrc files directly.
+ * The run is a plain runExperiment with traceSpoolDir set to the
+ * outdir (DESIGN.md §10): samples stream to javelin-trace-v1 binary
+ * files as the run executes, and the CSVs are decoded from the binary
+ * traces afterwards. runExperiment stops the DAQ and the HPM sampler,
+ * so the CSVs end with the final partial windows its attribution
+ * counts. `javelin-trace cat/index/range` can inspect the .jtrc files
+ * directly.
  *
  * Usage: power_trace [benchmark] [heapMB] [outdir]
  * Writes <outdir>/<benchmark>_{power,perf}.csv and the binary
@@ -18,8 +21,6 @@
 #include <iostream>
 #include <string>
 
-#include "core/daq.hh"
-#include "core/hpm_sampler.hh"
 #include "core/trace_io.hh"
 #include "core/trace_spool.hh"
 #include "harness/experiment.hh"
@@ -34,71 +35,35 @@ main(int argc, char **argv)
         argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
     const std::string outdir = argc > 3 ? argv[3] : ".";
 
-    // Assemble the rig by hand (runExperiment hides the traces).
     harness::ExperimentConfig cfg;
     cfg.heapNominalMB = heap;
     cfg.hpmPeriod = 100 * kTicksPerMicro;
-    sim::System system(harness::scaledPlatformSpec(cfg));
-
-    const auto program = workloads::buildProgram(
-        workloads::benchmark(bench),
-        workloads::studyScaleFor(cfg.dataset));
-
-    jvm::JvmConfig vmCfg;
-    vmCfg.collector = cfg.collector;
-    vmCfg.heapBytes = harness::scaledHeapBytes(cfg);
-    jvm::Jvm vm(system, program, vmCfg);
-
-    // Tee capture: the samplers keep their in-memory traces and append
-    // every sample to a spool as it is taken.
-    const std::string powerTrc = outdir + "/" + bench + ".power.jtrc";
-    const std::string perfTrc = outdir + "/" + bench + ".perf.jtrc";
-    core::TraceSpool::Config powerSp;
-    powerSp.path = powerTrc;
-    powerSp.kind = core::tracefmt::RecordKind::Power;
-    core::TraceSpool powerSpool(powerSp);
-    core::TraceSpool::Config perfSp;
-    perfSp.path = perfTrc;
-    perfSp.kind = core::tracefmt::RecordKind::Perf;
-    core::TraceSpool perfSpool(perfSp);
-
-    core::Daq::Config daqCfg;
-    daqCfg.spool = &powerSpool;
-    core::Daq daq(system, vm.port(), daqCfg);
-
-    core::HpmSampler::Config hpmCfg;
-    hpmCfg.spool = &perfSpool;
-    core::HpmSampler hpm(system, vm.port(), hpmCfg);
+    cfg.traceSpoolDir = outdir;
 
     std::cout << "running " << bench << " (heap " << heap
               << " MB nominal)...\n";
-    const auto r = vm.run();
-    if (r.outOfMemory) {
+    const auto res = harness::runExperiment(cfg, workloads::benchmark(bench));
+    if (res.run.outOfMemory) {
         std::cerr << "out of memory\n";
         return 1;
     }
-    powerSpool.close();
-    perfSpool.close();
 
     // Decode the binary traces back out for the plotting-tool CSVs.
+    const std::string powerTrc = outdir + "/" + bench + ".power.jtrc";
+    const std::string perfTrc = outdir + "/" + bench + ".perf.jtrc";
     const std::string powerPath = outdir + "/" + bench + "_power.csv";
     const std::string perfPath = outdir + "/" + bench + "_perf.csv";
-    {
-        core::TraceReader reader(powerTrc);
-        std::ofstream f(powerPath);
-        core::writePowerCsv(f, reader.readPower());
-    }
-    {
-        core::TraceReader reader(perfTrc);
-        std::ofstream f(perfPath);
-        core::writePerfCsv(f, reader.readPerf());
-    }
-    std::cout << "wrote " << daq.trace().size() << " power samples to "
+    const core::PowerTrace power = core::TraceReader(powerTrc).readPower();
+    const core::PerfTrace perf = core::TraceReader(perfTrc).readPerf();
+    std::ofstream powerCsv(powerPath), perfCsv(perfPath);
+    core::writePowerCsv(powerCsv, power);
+    core::writePerfCsv(perfCsv, perf);
+    std::cout << "wrote " << power.size() << " power samples to "
               << powerPath << " (spooled via " << powerTrc << ")\n"
-              << "      " << hpm.trace().size() << " perf samples to "
+              << "      " << perf.size() << " perf samples to "
               << perfPath << " (spooled via " << perfTrc << ")\n"
-              << "run: " << r.seconds() * 1e3 << " ms, "
-              << r.gc.collections << " GCs, "
-              << daq.measuredCpuJoules() << " J measured\n";
+              << "run: " << res.run.seconds() * 1e3 << " ms, "
+              << res.run.gc.collections << " GCs, "
+              << res.attribution.totalCpuJoules << " J measured\n";
     return 0;
 }

@@ -55,7 +55,7 @@ runScenario(const std::string &bench, double horizon_paper_s,
     out << "t(paper s)  T(C)    duty   note\n";
 
     bool announcedThrottle = false;
-    system.addPeriodicTask("report", 2 * kTicksPerMilli, [&](Tick now) {
+    system.addPeriodicTask(2 * kTicksPerMilli, [&](Tick now) {
         const double t = ticksToSeconds(now) * kThermalScale;
         out.setf(std::ios::fixed);
         out.precision(1);
@@ -74,16 +74,15 @@ runScenario(const std::string &bench, double horizon_paper_s,
 
     jvm::Jvm *current = nullptr;
     if (thermal_gc) {
-        system.addPeriodicTask(
-            "thermal-gc", 200 * kTicksPerMicro, [&](Tick) {
-                if (!current)
-                    return;
-                if (system.thermal().temperatureC() < guard_temp_c)
-                    return;
-                if (current->port().current() != core::ComponentId::App)
-                    return; // never re-enter the collector
-                current->collector().collect(false);
-            });
+        system.addPeriodicTask(200 * kTicksPerMicro, [&](Tick) {
+            if (!current)
+                return;
+            if (system.thermal().temperatureC() < guard_temp_c)
+                return;
+            if (current->port().current() != core::ComponentId::App)
+                return; // never re-enter the collector
+            current->collector().collect(false);
+        });
     }
 
     const Tick horizon = secondsToTicks(horizon_paper_s / kThermalScale);

@@ -1,5 +1,7 @@
 #include "core/component_port.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace javelin {
@@ -35,7 +37,7 @@ ComponentPort::write(ComponentId id)
     current_ = id;
     const Tick now = system_.cpu().now();
     for (const auto &obs : observers_)
-        obs(prev, id, now);
+        obs.fn(prev, id, now);
 }
 
 void
@@ -61,10 +63,22 @@ ComponentPort::rawWrite(ComponentId id)
     write(id);
 }
 
-void
+ComponentPort::ObserverId
 ComponentPort::addObserver(Observer observer)
 {
-    observers_.push_back(std::move(observer));
+    observers_.push_back({++lastObserverId_, std::move(observer)});
+    return lastObserverId_;
+}
+
+void
+ComponentPort::removeObserver(ObserverId id)
+{
+    const auto it = std::find_if(observers_.begin(), observers_.end(),
+                                 [id](const ObserverEntry &o) {
+                                     return o.id == id;
+                                 });
+    JAVELIN_ASSERT(it != observers_.end(), "no port observer with id ", id);
+    observers_.erase(it);
 }
 
 } // namespace core

@@ -40,6 +40,8 @@ class ComponentPort
     /** Called on every value change: (previous, next, time-of-switch). */
     using Observer =
         std::function<void(ComponentId, ComponentId, Tick)>;
+    /** Handle of a registered observer; never 0. */
+    using ObserverId = std::uint64_t;
 
     struct Config
     {
@@ -66,18 +68,32 @@ class ComponentPort
     std::size_t depth() const { return stack_.size(); }
 
     /** Register a switch observer (e.g., the ground-truth accountant). */
-    void addObserver(Observer observer);
+    ObserverId addObserver(Observer observer);
+
+    /**
+     * Unregister an observer; the others keep their calling order. An
+     * owner whose observer captures it must remove the observer before
+     * it dies, or the port keeps calling into the dead object.
+     */
+    void removeObserver(ObserverId id);
 
     std::uint64_t writeCount() const { return writeCount_; }
 
   private:
+    struct ObserverEntry
+    {
+        ObserverId id;
+        Observer fn;
+    };
+
     void write(ComponentId id);
 
     sim::System &system_;
     Config config_;
     ComponentId current_ = ComponentId::App;
     std::vector<ComponentId> stack_;
-    std::vector<Observer> observers_;
+    std::vector<ObserverEntry> observers_;
+    ObserverId lastObserverId_ = 0;
     std::uint64_t writeCount_ = 0;
 };
 

@@ -36,8 +36,8 @@ Daq::Daq(sim::System &system, ComponentPort &port, const Config &config)
     refMemJoules_ = system_.memoryPower().cumulativeJoules();
     lastCpuWatts_ = system_.power().idleWatts();
     lastMemWatts_ = system_.memoryPower().config().idleWatts;
-    system_.addPeriodicTask("daq", period_,
-                            [this](Tick now) { sample(now); });
+    task_ = system_.addPeriodicTask(period_,
+                                    [this](Tick now) { sample(now); });
 }
 
 void

@@ -45,6 +45,11 @@ class Daq
 
     Daq(sim::System &system, ComponentPort &port);
     Daq(sim::System &system, ComponentPort &port, const Config &config);
+    /** Removes the sampling task from the System. */
+    ~Daq() { system_.removePeriodicTask(task_); }
+
+    Daq(const Daq &) = delete;
+    Daq &operator=(const Daq &) = delete;
 
     /** Sampling period: the platform's PlatformSpec::daqPeriod. */
     Tick period() const { return period_; }
@@ -77,6 +82,7 @@ class Daq
     sim::System &system_;
     ComponentPort &port_;
     Tick period_;
+    sim::System::TaskId task_ = 0;
     SenseResistor cpuSense_;
     SenseResistor memSense_;
     PowerTrace trace_;

@@ -11,11 +11,8 @@ GroundTruthAccountant::GroundTruthAccountant(sim::System &system,
 {
     refTick_ = system_.cpu().now();
     refCounters_ = system_.counters();
-    port_.addObserver([this](ComponentId prev, ComponentId next, Tick now) {
-        (void)next;
-        (void)now;
-        onSwitch(prev, next, now);
-    });
+    observer_ = port_.addObserver(
+        [this](ComponentId prev, ComponentId, Tick) { onSwitch(prev); });
 }
 
 void
@@ -40,11 +37,8 @@ GroundTruthAccountant::accumulate(ComponentId id)
 }
 
 void
-GroundTruthAccountant::onSwitch(ComponentId prev, ComponentId next,
-                                Tick now)
+GroundTruthAccountant::onSwitch(ComponentId prev)
 {
-    (void)next;
-    (void)now;
     JAVELIN_ASSERT(!finalized_, "switch after finalize");
     accumulate(prev);
 }

@@ -37,6 +37,12 @@ class GroundTruthAccountant
     };
 
     GroundTruthAccountant(sim::System &system, ComponentPort &port);
+    /** Removes the switch observer from the port. */
+    ~GroundTruthAccountant() { port_.removeObserver(observer_); }
+
+    GroundTruthAccountant(const GroundTruthAccountant &) = delete;
+    GroundTruthAccountant &
+    operator=(const GroundTruthAccountant &) = delete;
 
     /** Close the currently-open slice (call once at end of run). */
     void finalize();
@@ -48,11 +54,12 @@ class GroundTruthAccountant
     Tick totalTime() const;
 
   private:
-    void onSwitch(ComponentId prev, ComponentId next, Tick now);
+    void onSwitch(ComponentId prev);
     void accumulate(ComponentId id);
 
     sim::System &system_;
     ComponentPort &port_;
+    ComponentPort::ObserverId observer_ = 0;
     std::array<Slice, kNumComponents> slices_;
 
     double refCpuJ_ = 0.0;

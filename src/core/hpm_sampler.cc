@@ -29,8 +29,8 @@ HpmSampler::HpmSampler(sim::System &system, ComponentPort &port,
                        "HPM spool must carry perf records");
     trace_.reserve(kTraceReserve);
     last_ = system_.counters();
-    system_.addPeriodicTask("hpm", period_,
-                            [this](Tick now) { sample(now); });
+    task_ = system_.addPeriodicTask(period_,
+                                    [this](Tick now) { sample(now); });
 }
 
 void

@@ -42,6 +42,11 @@ class HpmSampler
     HpmSampler(sim::System &system, ComponentPort &port);
     HpmSampler(sim::System &system, ComponentPort &port,
                const Config &config);
+    /** Removes the sampling task from the System. */
+    ~HpmSampler() { system_.removePeriodicTask(task_); }
+
+    HpmSampler(const HpmSampler &) = delete;
+    HpmSampler &operator=(const HpmSampler &) = delete;
 
     /** Sampling period: the platform's PlatformSpec::hpmPeriod. */
     Tick period() const { return period_; }
@@ -63,6 +68,7 @@ class HpmSampler
     sim::System &system_;
     ComponentPort &port_;
     Tick period_;
+    sim::System::TaskId task_ = 0;
     double isrCostCycles_ = 0.0;
     PerfTrace trace_;
     TraceSpool *spool_ = nullptr;

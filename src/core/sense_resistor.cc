@@ -1,16 +1,20 @@
 #include "core/sense_resistor.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace javelin {
 namespace core {
 
+namespace {
+
+/** Sense resistance in ohms (milliohm-class in practice). */
+constexpr double kSenseOhms = 0.010;
+
+} // namespace
+
 SenseResistor::SenseResistor(const Config &config)
     : config_(config), rng_(config.seed)
 {
-    JAVELIN_ASSERT(config_.resistanceOhms > 0, "bad sense resistance");
 }
 
 double
@@ -18,12 +22,10 @@ SenseResistor::measureAmps(double true_watts, double rail_volts)
 {
     JAVELIN_ASSERT(rail_volts > 0, "bad rail voltage");
     const double true_amps = true_watts / rail_volts;
-    double drop = true_amps * config_.resistanceOhms;
+    double drop = true_amps * kSenseOhms;
     if (config_.noiseVoltsRms > 0)
         drop += rng_.normal(0.0, config_.noiseVoltsRms);
-    if (config_.adcLsbVolts > 0)
-        drop = std::round(drop / config_.adcLsbVolts) * config_.adcLsbVolts;
-    return drop / config_.resistanceOhms;
+    return drop / kSenseOhms;
 }
 
 double

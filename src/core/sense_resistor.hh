@@ -5,9 +5,9 @@
  * Current is measured indirectly: a small precision resistor sits in
  * series with the supply rail and the DAQ samples the voltage drop across
  * it, so I = V_drop / R. The model converts the power model's true power
- * into a measured current, with optional gaussian measurement noise and
- * ADC quantization, so the acquisition error budget of a real rig can be
- * reproduced and studied.
+ * into a measured current, with optional gaussian measurement noise, so
+ * the acquisition error budget of a real rig can be reproduced and
+ * studied.
  */
 
 #ifndef JAVELIN_CORE_SENSE_RESISTOR_HH
@@ -19,19 +19,15 @@ namespace javelin {
 namespace core {
 
 /**
- * One sense-resistor + ADC channel pair.
+ * One 10 mOhm sense-resistor channel.
  */
 class SenseResistor
 {
   public:
     struct Config
     {
-        /** Sense resistance in ohms (milliohm-class in practice). */
-        double resistanceOhms = 0.010;
         /** Gaussian noise on the sampled drop voltage (volts RMS). */
         double noiseVoltsRms = 0.0;
-        /** ADC least-significant-bit size in volts; 0 disables. */
-        double adcLsbVolts = 0.0;
         /** Noise stream seed. */
         std::uint64_t seed = 12345;
     };
@@ -40,7 +36,7 @@ class SenseResistor
 
     /**
      * Measure the current implied by (true_watts, rail_volts).
-     * @return measured amps after noise and quantization.
+     * @return measured amps after noise.
      */
     double measureAmps(double true_watts, double rail_volts);
 

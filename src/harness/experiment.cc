@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 
 #include "core/energy_accounting.hh"
@@ -59,82 +60,107 @@ scaledPlatformSpec(const ExperimentConfig &config)
     return spec;
 }
 
-ExperimentResult
-runExperiment(const ExperimentConfig &config, const jvm::Program &program)
+namespace {
+
+/** The VM an experiment boots (each co-tenant starts from it too). */
+jvm::JvmConfig
+jvmConfigFor(const ExperimentConfig &config)
 {
-    ExperimentResult res;
-    res.config = config;
-    res.benchmark = program.name;
-
-    sim::System system(scaledPlatformSpec(config));
-
-    jvm::JvmConfig vmCfg;
-    vmCfg.kind = config.vm;
-    vmCfg.collector = config.collector;
-    vmCfg.heapBytes = scaledHeapBytes(config);
-    vmCfg.interp = jvm::interpConfigFor(config.vm);
-    vmCfg.chargePortWrites = config.chargePortWrites;
-    vmCfg.adaptiveOptimization = config.adaptiveOptimization;
-    vmCfg.chargeBarrierCost = config.chargeBarrierCost;
-
-    if (config.dvfsPoint >= 0)
-        system.dvfs().set(static_cast<std::size_t>(config.dvfsPoint));
-
-    jvm::Jvm vm(system, program, vmCfg);
-
-    core::Daq::Config daqCfg;
-    daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.cpuSense.seed = config.seed * 31 + 1;
-    daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.memSense.seed = config.seed * 31 + 2;
-    // Optional trace capture (tee: the in-memory traces still feed
-    // attribution, the spools persist them without touching the
-    // measured path's results).
-    std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
-    if (!config.traceSpoolDir.empty()) {
-        std::filesystem::create_directories(config.traceSpoolDir);
-        core::TraceSpool::Config sp;
-        sp.path = config.traceSpoolDir + "/" + program.name +
-                  ".power.jtrc";
-        sp.kind = core::tracefmt::RecordKind::Power;
-        powerSpool = std::make_unique<core::TraceSpool>(sp);
-        sp.path = config.traceSpoolDir + "/" + program.name +
-                  ".perf.jtrc";
-        sp.kind = core::tracefmt::RecordKind::Perf;
-        perfSpool = std::make_unique<core::TraceSpool>(sp);
-        daqCfg.spool = powerSpool.get();
-    }
-    core::Daq daq(system, vm.port(), daqCfg);
-    core::HpmSampler::Config hpmCfg;
-    hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
-    hpmCfg.spool = perfSpool.get();
-    core::HpmSampler hpm(system, vm.port(), hpmCfg);
-    core::GroundTruthAccountant truth(system, vm.port());
-
-    res.run = vm.run();
-    truth.finalize();
-    // Flush the in-progress partial sampling windows so measured
-    // totals conserve the run's full energy/counter deltas.
-    daq.stop();
-    hpm.stop();
-    if (powerSpool)
-        powerSpool->close();
-    if (perfSpool)
-        perfSpool->close();
-    res.counters = system.counters();
-
-    res.attribution = core::attribute(daq.trace(), hpm.trace());
-    for (std::size_t i = 0; i < core::kNumComponents; ++i)
-        res.groundTruth[i] =
-            truth.slice(static_cast<core::ComponentId>(i));
-    res.groundTruthCpuJoules = truth.totalCpuJoules();
-    res.groundTruthMemJoules = truth.totalMemJoules();
-    res.maxTemperatureC = system.thermal().maxTemperatureC();
-    res.throttledSeconds = system.thermal().throttledSeconds();
-    return res;
+    jvm::JvmConfig vm;
+    vm.kind = config.vm;
+    vm.collector = config.collector;
+    vm.heapBytes = scaledHeapBytes(config);
+    vm.interp = jvm::interpConfigFor(config.vm);
+    vm.chargePortWrites = config.chargePortWrites;
+    vm.adaptiveOptimization = config.adaptiveOptimization;
+    vm.chargeBarrierCost = config.chargeBarrierCost;
+    return vm;
 }
 
-namespace {
+/**
+ * The measurement rig of paper Section IV (DESIGN.md §4): the platform
+ * at the config's DVFS point and its component-ID port. Build every VM
+ * on `port` first, then measure().
+ */
+struct Rig
+{
+    explicit Rig(const ExperimentConfig &cfg)
+        : config(cfg), system(scaledPlatformSpec(cfg)),
+          port(system, core::ComponentPort::Config{cfg.chargePortWrites})
+    {
+        if (config.dvfsPoint >= 0)
+            system.dvfs().set(static_cast<std::size_t>(config.dvfsPoint));
+    }
+
+    /**
+     * Attach the instruments, run `step` (it fills the run's own
+     * fields), stop the instruments in order and fill every measured
+     * field. Attached after the VMs, the instruments' tasks follow the
+     * VMs' adaptive samplers and their observers follow a TenantSet's.
+     */
+    ExperimentResult
+    measure(const std::string &benchmark,
+            const std::function<void(ExperimentResult &)> &step)
+    {
+        ExperimentResult res;
+        res.config = config;
+        res.benchmark = benchmark;
+
+        core::Daq::Config daqCfg;
+        daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
+        daqCfg.cpuSense.seed = config.seed * 31 + 1;
+        daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
+        daqCfg.memSense.seed = config.seed * 31 + 2;
+        core::HpmSampler::Config hpmCfg;
+        hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
+        // Optional trace capture (tee: the in-memory traces still feed
+        // attribution, the spools persist them without touching the
+        // measured path's results).
+        std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
+        if (!config.traceSpoolDir.empty()) {
+            std::filesystem::create_directories(config.traceSpoolDir);
+            const std::string stem = config.traceSpoolDir + "/" + benchmark;
+            core::TraceSpool::Config sp;
+            sp.path = stem + ".power.jtrc";
+            sp.kind = core::tracefmt::RecordKind::Power;
+            powerSpool = std::make_unique<core::TraceSpool>(sp);
+            sp.path = stem + ".perf.jtrc";
+            sp.kind = core::tracefmt::RecordKind::Perf;
+            perfSpool = std::make_unique<core::TraceSpool>(sp);
+            daqCfg.spool = powerSpool.get();
+            hpmCfg.spool = perfSpool.get();
+        }
+        core::Daq daq(system, port, daqCfg);
+        core::HpmSampler hpm(system, port, hpmCfg);
+        core::GroundTruthAccountant truth(system, port);
+
+        step(res);
+        truth.finalize();
+        // Flush the in-progress partial sampling windows so measured
+        // totals conserve the run's full energy/counter deltas.
+        daq.stop();
+        hpm.stop();
+        if (powerSpool) {
+            powerSpool->close();
+            perfSpool->close();
+        }
+        res.counters = system.counters();
+
+        res.attribution = core::attribute(daq.trace(), hpm.trace());
+        for (std::size_t i = 0; i < core::kNumComponents; ++i)
+            res.groundTruth[i] =
+                truth.slice(static_cast<core::ComponentId>(i));
+        res.groundTruthCpuJoules = truth.totalCpuJoules();
+        res.groundTruthMemJoules = truth.totalMemJoules();
+        res.maxTemperatureC = system.thermal().maxTemperatureC();
+        res.throttledSeconds = system.thermal().throttledSeconds();
+        return res;
+    }
+
+    const ExperimentConfig &config;
+    sim::System system;
+    core::ComponentPort port;
+};
 
 /**
  * Request-sized builds: one co-tenancy request is the benchmark's
@@ -158,13 +184,7 @@ ExperimentResult
 runCoTenancy(const ExperimentConfig &config,
              const workloads::BenchmarkProfile &profile)
 {
-    ExperimentResult res;
-    res.config = config;
-    res.benchmark = profile.name;
-
-    sim::System system(scaledPlatformSpec(config));
-    if (config.dvfsPoint >= 0)
-        system.dvfs().set(static_cast<std::size_t>(config.dvfsPoint));
+    Rig rig(config);
 
     // Per-tenant programs: the same benchmark, request-sized, with an
     // independent seed per tenant so tenants are statistically alike
@@ -179,19 +199,11 @@ runCoTenancy(const ExperimentConfig &config,
         programs.push_back(workloads::buildProgram(p, scale));
     }
 
-    core::ComponentPort port(
-        system, core::ComponentPort::Config{config.chargePortWrites});
-
-    TenantSet set(system, port);
+    TenantSet set(rig.system, rig.port);
     for (std::uint32_t i = 0; i < config.tenants; ++i) {
         TenantSpec spec;
-        spec.vm.kind = config.vm;
+        spec.vm = jvmConfigFor(config);
         spec.vm.collector = tenantCollector(config, i);
-        spec.vm.heapBytes = scaledHeapBytes(config);
-        spec.vm.interp = jvm::interpConfigFor(config.vm);
-        spec.vm.chargePortWrites = config.chargePortWrites;
-        spec.vm.adaptiveOptimization = config.adaptiveOptimization;
-        spec.vm.chargeBarrierCost = config.chargeBarrierCost;
         spec.program = &programs[i];
         spec.arrival.kind = config.arrival;
         spec.arrival.ratePerSec = config.requestRateHz;
@@ -200,31 +212,9 @@ runCoTenancy(const ExperimentConfig &config,
         set.add(spec);
     }
 
-    core::Daq::Config daqCfg;
-    daqCfg.cpuSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.cpuSense.seed = config.seed * 31 + 1;
-    daqCfg.memSense.noiseVoltsRms = config.senseNoiseVoltsRms;
-    daqCfg.memSense.seed = config.seed * 31 + 2;
-    core::Daq daq(system, port, daqCfg);
-    core::HpmSampler::Config hpmCfg;
-    hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
-    core::HpmSampler hpm(system, port, hpmCfg);
-    core::GroundTruthAccountant truth(system, port);
-
-    res.cotenancy = set.run();
-    truth.finalize();
-    daq.stop();
-    hpm.stop();
-    res.counters = system.counters();
-
-    res.attribution = core::attribute(daq.trace(), hpm.trace());
-    for (std::size_t i = 0; i < core::kNumComponents; ++i)
-        res.groundTruth[i] =
-            truth.slice(static_cast<core::ComponentId>(i));
-    res.groundTruthCpuJoules = truth.totalCpuJoules();
-    res.groundTruthMemJoules = truth.totalMemJoules();
-    res.maxTemperatureC = system.thermal().maxTemperatureC();
-    res.throttledSeconds = system.thermal().throttledSeconds();
+    ExperimentResult res = rig.measure(
+        profile.name,
+        [&](ExperimentResult &r) { r.cotenancy = set.run(); });
 
     // Cross-tenant aggregate rollup, so every downstream consumer of
     // ExperimentResult::run keeps working on co-tenancy shards.
@@ -258,6 +248,15 @@ runCoTenancy(const ExperimentConfig &config,
 } // namespace
 
 ExperimentResult
+runExperiment(const ExperimentConfig &config, const jvm::Program &program)
+{
+    Rig rig(config);
+    jvm::Jvm vm(rig.system, program, jvmConfigFor(config), rig.port);
+    return rig.measure(program.name,
+                       [&](ExperimentResult &res) { res.run = vm.run(); });
+}
+
+ExperimentResult
 runExperiment(const ExperimentConfig &config,
               const workloads::BenchmarkProfile &profile)
 {
@@ -265,10 +264,7 @@ runExperiment(const ExperimentConfig &config,
         return runCoTenancy(config, profile);
     workloads::StudyScale scale = workloads::studyScaleFor(config.dataset);
     scale.volume = config.heapScale;
-    const jvm::Program program = workloads::buildProgram(profile, scale);
-    ExperimentResult res = runExperiment(config, program);
-    res.benchmark = profile.name;
-    return res;
+    return runExperiment(config, workloads::buildProgram(profile, scale));
 }
 
 } // namespace harness

@@ -15,8 +15,8 @@ TenantSet::TenantSet(sim::System &system, core::ComponentPort &port)
     // Tag every GC with the tenant that ran it: at a port transition
     // into Gc the CPU's occupant is the colliding tenant (GC always
     // runs inside a tenant's slice — allocation triggers it).
-    port_.addObserver([this](core::ComponentId prev, core::ComponentId next,
-                             Tick now) {
+    observer_ = port_.addObserver([this](core::ComponentId prev,
+                                         core::ComponentId next, Tick now) {
         if (next == core::ComponentId::Gc && !gcOpen_) {
             gcOpen_ = true;
             GcInterval gi;
@@ -32,8 +32,6 @@ TenantSet::TenantSet(sim::System &system, core::ComponentPort &port)
         }
     });
 }
-
-TenantSet::~TenantSet() = default;
 
 std::uint32_t
 TenantSet::add(const TenantSpec &spec)

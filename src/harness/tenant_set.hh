@@ -149,7 +149,11 @@ class TenantSet
 {
   public:
     TenantSet(sim::System &system, core::ComponentPort &port);
-    ~TenantSet();
+    /** Removes the GC-interval observer from the port. */
+    ~TenantSet() { port_.removeObserver(observer_); }
+
+    TenantSet(const TenantSet &) = delete;
+    TenantSet &operator=(const TenantSet &) = delete;
 
     /** Add one tenant (before run()). Returns its index. */
     std::uint32_t add(const TenantSpec &spec);
@@ -206,6 +210,7 @@ class TenantSet
 
     sim::System &system_;
     core::ComponentPort &port_;
+    core::ComponentPort::ObserverId observer_ = 0;
     std::vector<std::unique_ptr<jvm::Jvm>> vms_;
     std::vector<TenantState> tenants_;
 

@@ -129,8 +129,7 @@ Jvm::Jvm(sim::System &system, const Program &program,
 
     if (config_.kind == VmKind::Jikes && config_.adaptiveOptimization) {
         samplerTask_ = system_.addPeriodicTask(
-            "adaptive-sampler", kSampleInterval,
-            [this](Tick now) { adaptiveSample(now); });
+            kSampleInterval, [this](Tick now) { adaptiveSample(now); });
     }
 }
 

@@ -89,11 +89,11 @@ class Jvm : public GcHost
         const JvmConfig &config);
 
     /**
-     * Co-tenant instance: write component IDs through a shared,
-     * externally-owned port (harness::TenantSet). Everything else —
-     * heap, collector, loader, compilers, engine — is private to this
-     * instance; only the System (and hence caches, DRAM, power and
-     * thermal budget) and the port are shared.
+     * Shared-port instance: write component IDs through an externally
+     * owned port (the harness's rig; harness::TenantSet's co-tenants).
+     * Everything else — heap, collector, loader, compilers, engine — is
+     * private to this instance; only the System (and hence caches,
+     * DRAM, power and thermal budget) and the port are shared.
      */
     Jvm(sim::System &system, const Program &program,
         const JvmConfig &config, core::ComponentPort &shared_port);

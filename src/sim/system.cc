@@ -13,17 +13,16 @@ System::System(const PlatformSpec &spec)
       memPower_(spec.memPower), thermal_(spec.thermal),
       dvfs_(*this, spec.dvfsPoints)
 {
-    addPeriodicTask("thermal", spec_.thermalPeriod,
+    addPeriodicTask(spec_.thermalPeriod,
                     [this](Tick now) { thermalStep(now); });
 }
 
 System::TaskId
-System::addPeriodicTask(const std::string &name, Tick period, TaskFn fn,
-                        Tick phase)
+System::addPeriodicTask(Tick period, TaskFn fn)
 {
     JAVELIN_ASSERT(period > 0, "periodic task needs a positive period");
-    TaskEntry entry{++lastTaskId_, name, period,
-                    cpu_.now() + period + phase, std::move(fn)};
+    TaskEntry entry{++lastTaskId_, period, cpu_.now() + period,
+                    std::move(fn)};
     tasks_.push_back(std::move(entry));
     recomputeNextDue();
     return lastTaskId_;

@@ -16,7 +16,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/cpu_model.hh"
@@ -64,10 +63,9 @@ class System
 
     /**
      * Register a periodic task. The first firing happens one period from
-     * the current time (plus optional phase offset).
+     * the current time.
      */
-    TaskId addPeriodicTask(const std::string &name, Tick period,
-                           TaskFn fn, Tick phase = 0);
+    TaskId addPeriodicTask(Tick period, TaskFn fn);
 
     /**
      * Unregister a task; the others keep their firing order. An owner
@@ -112,7 +110,6 @@ class System
     struct TaskEntry
     {
         TaskId id;
-        std::string name;
         Tick period;
         Tick next;
         TaskFn fn;

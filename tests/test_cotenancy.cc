@@ -96,6 +96,32 @@ TEST(CoTenancy, AttributionConservesPlatformTotals)
             // cycle the platform retired during the run is in exactly
             // one account (idle advances time without executing).
             EXPECT_LE(cycleSum, res.counters.cycles);
+
+            // The run's GC rollup is the sum over tenants, field by
+            // field, and the thermal outcome is filled in.
+#define EXPECT_ROLLED_UP(f)                                              \
+    do {                                                                 \
+        std::uint64_t sum = 0;                                           \
+        for (const auto &a : ct.tenants)                                 \
+            sum += a.vm.gc.f;                                            \
+        EXPECT_EQ(res.run.gc.f, sum) << #f;                              \
+    } while (0)
+            EXPECT_ROLLED_UP(collections);
+            EXPECT_ROLLED_UP(minorCollections);
+            EXPECT_ROLLED_UP(majorCollections);
+            EXPECT_ROLLED_UP(pauseTicks);
+            EXPECT_ROLLED_UP(bytesAllocated);
+            EXPECT_ROLLED_UP(objectsAllocated);
+            EXPECT_ROLLED_UP(bytesCopied);
+            EXPECT_ROLLED_UP(objectsCopied);
+            EXPECT_ROLLED_UP(objectsMarked);
+            EXPECT_ROLLED_UP(bytesFreed);
+            EXPECT_ROLLED_UP(barrierHits);
+            EXPECT_ROLLED_UP(remsetEntries);
+#undef EXPECT_ROLLED_UP
+            EXPECT_GT(res.maxTemperatureC,
+                      harness::scaledPlatformSpec(res.config)
+                          .thermal.ambientC);
         }
     }
 }

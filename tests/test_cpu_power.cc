@@ -392,8 +392,7 @@ TEST(System, PeriodicTasksFire)
 {
     System sys(tinySpec());
     int fired = 0;
-    sys.addPeriodicTask("t", 10 * kTicksPerMicro,
-                        [&](Tick) { ++fired; });
+    sys.addPeriodicTask(10 * kTicksPerMicro, [&](Tick) { ++fired; });
     while (sys.cpu().now() < 1000 * kTicksPerMicro) {
         sys.cpu().execute(100, 0x1000, 0);
         sys.poll();
@@ -406,10 +405,10 @@ TEST(System, RemovedTaskStopsFiringOthersKeepOrder)
 {
     System sys(tinySpec());
     std::string order;
-    sys.addPeriodicTask("a", kTicksPerMilli, [&](Tick) { order += 'a'; });
-    const auto b = sys.addPeriodicTask("b", kTicksPerMilli,
-                                       [&](Tick) { order += 'b'; });
-    sys.addPeriodicTask("c", kTicksPerMilli, [&](Tick) { order += 'c'; });
+    sys.addPeriodicTask(kTicksPerMilli, [&](Tick) { order += 'a'; });
+    const auto b =
+        sys.addPeriodicTask(kTicksPerMilli, [&](Tick) { order += 'b'; });
+    sys.addPeriodicTask(kTicksPerMilli, [&](Tick) { order += 'c'; });
     sys.idleFor(kTicksPerMilli);
     sys.removePeriodicTask(b);
     sys.idleFor(kTicksPerMilli);
@@ -420,7 +419,7 @@ TEST(System, IdleForFiresTasks)
 {
     System sys(tinySpec());
     int fired = 0;
-    sys.addPeriodicTask("t", kTicksPerMilli, [&](Tick) { ++fired; });
+    sys.addPeriodicTask(kTicksPerMilli, [&](Tick) { ++fired; });
     sys.idleFor(10 * kTicksPerMilli);
     EXPECT_GE(fired, 9);
 }

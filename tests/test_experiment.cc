@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/energy_accounting.hh"
+#include "core/trace_spool.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 
@@ -17,6 +20,8 @@ using namespace javelin::harness;
 
 namespace {
 
+namespace fs = std::filesystem;
+
 ExperimentConfig
 smallConfig()
 {
@@ -24,6 +29,46 @@ smallConfig()
     cfg.dataset = workloads::DatasetScale::Small;
     cfg.heapNominalMB = 32;
     return cfg;
+}
+
+void
+expectSameCounters(const sim::PerfCounters &a, const sim::PerfCounters &b)
+{
+#define EXPECT_FIELD_EQ(f) EXPECT_EQ(a.f, b.f) << #f
+    EXPECT_FIELD_EQ(cycles);
+    EXPECT_FIELD_EQ(instructions);
+    EXPECT_FIELD_EQ(stallCycles);
+    EXPECT_FIELD_EQ(branches);
+    EXPECT_FIELD_EQ(branchMispredicts);
+    EXPECT_FIELD_EQ(l1iAccesses);
+    EXPECT_FIELD_EQ(l1iMisses);
+    EXPECT_FIELD_EQ(l1dAccesses);
+    EXPECT_FIELD_EQ(l1dMisses);
+    EXPECT_FIELD_EQ(l2Accesses);
+    EXPECT_FIELD_EQ(l2Misses);
+    EXPECT_FIELD_EQ(l2Probes);
+    EXPECT_FIELD_EQ(dramAccesses);
+    EXPECT_FIELD_EQ(dramWritebacks);
+#undef EXPECT_FIELD_EQ
+}
+
+void
+expectSameAttribution(const core::Attribution &a, const core::Attribution &b)
+{
+    for (std::size_t i = 0; i < core::kNumComponents; ++i) {
+        SCOPED_TRACE(core::componentName(static_cast<core::ComponentId>(i)));
+        EXPECT_EQ(a.power[i].cpuJoules, b.power[i].cpuJoules);
+        EXPECT_EQ(a.power[i].memJoules, b.power[i].memJoules);
+        EXPECT_EQ(a.power[i].seconds, b.power[i].seconds);
+        EXPECT_EQ(a.power[i].peakCpuWatts, b.power[i].peakCpuWatts);
+        EXPECT_EQ(a.power[i].samples, b.power[i].samples);
+        expectSameCounters(a.perf[i].counters, b.perf[i].counters);
+        EXPECT_EQ(a.perf[i].samples, b.perf[i].samples);
+    }
+    EXPECT_EQ(a.totalCpuJoules, b.totalCpuJoules);
+    EXPECT_EQ(a.totalMemJoules, b.totalMemJoules);
+    EXPECT_EQ(a.totalSeconds, b.totalSeconds);
+    EXPECT_EQ(a.peakCpuWatts, b.peakCpuWatts);
 }
 
 } // namespace
@@ -60,6 +105,60 @@ TEST(Experiment, SampledEnergyMatchesGroundTruth)
                 res.groundTruthCpuJoules * 0.05);
     EXPECT_NEAR(res.attribution.totalMemJoules, res.groundTruthMemJoules,
                 res.groundTruthMemJoules * 0.05);
+    // The run warms the package above ambient.
+    EXPECT_GT(res.maxTemperatureC,
+              scaledPlatformSpec(smallConfig()).thermal.ambientC);
+}
+
+/**
+ * traceSpoolDir is host I/O only: a spooled run measures exactly what
+ * an unspooled one does, single-VM and co-tenant alike, and its two
+ * trace files attribute back to the run's own attribution.
+ */
+TEST(Experiment, SpooledRunMatchesAndDecodesToItsAttribution)
+{
+    const auto profile = workloads::benchmark("_202_jess");
+    for (const std::uint32_t tenants : {0u, 2u}) {
+        SCOPED_TRACE(testing::Message() << "tenants=" << tenants);
+        ExperimentConfig cfg = smallConfig();
+        cfg.tenants = tenants;
+        cfg.requestsPerTenant = 6;
+        cfg.requestRateHz = 4000.0;
+        const auto plain = runExperiment(cfg, profile);
+
+        const fs::path dir = fs::temp_directory_path() /
+                             ("javelin_rig_spool_" +
+                              std::to_string(tenants));
+        fs::remove_all(dir);
+        cfg.traceSpoolDir = dir.string();
+        const auto spooled = runExperiment(cfg, profile);
+        ASSERT_TRUE(plain.ok());
+        ASSERT_TRUE(spooled.ok());
+
+        expectSameAttribution(spooled.attribution, plain.attribution);
+        for (std::size_t i = 0; i < core::kNumComponents; ++i) {
+            const auto &s = spooled.groundTruth[i];
+            const auto &p = plain.groundTruth[i];
+            EXPECT_EQ(s.cpuJoules, p.cpuJoules);
+            EXPECT_EQ(s.memJoules, p.memJoules);
+            EXPECT_EQ(s.time, p.time);
+            expectSameCounters(s.counters, p.counters);
+        }
+        EXPECT_EQ(spooled.groundTruthCpuJoules, plain.groundTruthCpuJoules);
+        EXPECT_EQ(spooled.groundTruthMemJoules, plain.groundTruthMemJoules);
+        expectSameCounters(spooled.counters, plain.counters);
+
+        // TraceReader exits the process on a missing file: check first.
+        const fs::path power = dir / "_202_jess.power.jtrc";
+        const fs::path perf = dir / "_202_jess.perf.jtrc";
+        ASSERT_TRUE(fs::exists(power));
+        ASSERT_TRUE(fs::exists(perf));
+        expectSameAttribution(
+            core::attribute(core::TraceReader(power.string()).readPower(),
+                            core::TraceReader(perf.string()).readPerf()),
+            spooled.attribution);
+        fs::remove_all(dir);
+    }
 }
 
 TEST(Experiment, PerComponentAttributionWithinQuantization)

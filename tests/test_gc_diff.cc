@@ -81,7 +81,7 @@ struct Rig
         // Fires at poll points only: its tick trace IS the observable
         // poll schedule. A fast path that skipped a poll the reference
         // path took while this task was due would shift the trace.
-        system.addPeriodicTask("poll-probe", 20000, [this](Tick t) {
+        system.addPeriodicTask(20000, [this](Tick t) {
             pollTicks.push_back(t);
         });
     }

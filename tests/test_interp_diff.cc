@@ -75,7 +75,7 @@ struct InterpRig
     {
         // Fires at poll points only: its tick trace IS the observable
         // poll schedule (same probe discipline as test_gc_diff).
-        system.addPeriodicTask("poll-probe", 20000, [this](Tick t) {
+        system.addPeriodicTask(20000, [this](Tick t) {
             pollTicks.push_back(t);
         });
         JvmConfig cfg;
