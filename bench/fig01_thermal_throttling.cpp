@@ -7,68 +7,20 @@
  * board), where the emergency response halves the clock duty cycle and
  * the temperature saw-tooths around the threshold.
  *
- * The study scale shortens runs by ~16x, so the thermal time constant
- * is shortened by the same factor (tau scales with R*C; we scale C) and
- * the time axis below is reported in equivalent paper seconds.
+ * Both studies are harness::runThermalStudy runs, which dilate the
+ * thermal time constant with the study scale; the time axis below is
+ * in equivalent paper seconds.
  */
 
+#include <algorithm>
 #include <iostream>
 
-#include "core/daq.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "util/table.hh"
 
 using namespace javelin;
 using namespace javelin::harness;
-
-namespace {
-
-/** Thermal time dilation: simulated seconds -> paper seconds. */
-constexpr double kThermalScale = 4000.0;
-
-struct TracePoint
-{
-    double paperSeconds;
-    double tempC;
-    double duty;
-};
-
-std::vector<TracePoint>
-runScenario(bool fan_enabled, double paper_seconds)
-{
-    auto spec = scaledPlatformSpec(ExperimentConfig{});
-    spec.thermal.capacitanceJperC /= kThermalScale;
-
-    const auto program = workloads::buildProgram(
-        workloads::benchmark("_222_mpegaudio"),
-        workloads::studyScaleFor(workloads::DatasetScale::Small));
-
-    sim::System system(spec);
-    system.thermal().setFanEnabled(fan_enabled);
-
-    std::vector<TracePoint> trace;
-    system.addPeriodicTask(500 * kTicksPerMicro, [&](Tick now) {
-        trace.push_back({ticksToSeconds(now) * kThermalScale,
-                         system.thermal().temperatureC(),
-                         system.cpu().dutyCycle()});
-    });
-
-    jvm::JvmConfig cfg;
-    cfg.collector = jvm::CollectorKind::GenCopy;
-    cfg.heapBytes = scaledHeapBytes(ExperimentConfig{});
-
-    const double horizon = paper_seconds / kThermalScale;
-    // Repetitive runs of the benchmark, as in the paper.
-    while (ticksToSeconds(system.cpu().now()) < horizon) {
-        jvm::Jvm vm(system, program, cfg);
-        const auto r = vm.run();
-        if (r.outOfMemory)
-            break;
-    }
-    return trace;
-}
-
-} // namespace
 
 int
 main()
@@ -78,14 +30,22 @@ main()
               << "(time axis in equivalent paper seconds; thermal mass "
                  "scaled with the study scale)\n\n";
 
-    const auto fanOn = runScenario(true, 300.0);
-    const auto fanOff = runScenario(false, 300.0);
+    // Fan on, then fan off; each study simulates its own System.
+    ThermalStudyResult studies[2];
+    SweepRunner::parallelFor(2, [&](std::size_t i) {
+        ThermalStudyConfig cfg;
+        cfg.fanEnabled = i == 0;
+        cfg.horizonSeconds = 300.0;
+        studies[i] = runThermalStudy(cfg);
+    });
+    const auto &fanOn = studies[0].timeline;
+    const auto &fanOff = studies[1].timeline;
 
     Table t({"t(s)", "fan-on T(C)", "fan-off T(C)", "fan-off duty"});
     const std::size_t n = std::min(fanOn.size(), fanOff.size());
     for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 25)) {
         t.beginRow();
-        t.cell(fanOn[i].paperSeconds, 0);
+        t.cell(fanOn[i].seconds, 0);
         t.cell(fanOn[i].tempC, 1);
         t.cell(fanOff[i].tempC, 1);
         t.cell(fanOff[i].duty, 2);
@@ -98,7 +58,7 @@ main()
     for (const auto &p : fanOff) {
         fanOffMax = std::max(fanOffMax, p.tempC);
         if (tripAt < 0 && p.duty < 1.0)
-            tripAt = p.paperSeconds;
+            tripAt = p.seconds;
     }
     std::cout << "\nsummary (paper expectations in parentheses):\n"
               << "  fan-on peak temperature " << fanOnMax

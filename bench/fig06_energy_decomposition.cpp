@@ -10,7 +10,6 @@
  * at 48 MB falling to 11% at 128 MB.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -24,16 +23,12 @@ using namespace javelin::harness;
 int
 main()
 {
-    const bool fast = std::getenv("JAVELIN_FAST") != nullptr;
-
     std::vector<ExperimentResult> rows;
     RunningStat specGcSmall, specGcBig, dacapoGcSmall, dacapoGcBig;
     double maxJvm = 0;
     std::string maxJvmAt;
 
-    auto benches = workloads::allBenchmarks();
-    if (fast)
-        benches.resize(4);
+    const auto &benches = workloads::allBenchmarks();
 
     std::vector<SweepTask> tasks;
     for (const auto &bench : benches) {

@@ -12,7 +12,6 @@
  * 48 MB (56%/50%/27% for javac/mtrt/euler) where GenCopy barely moves.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -52,10 +51,6 @@ main(int argc, char **argv)
                      "FILE] [--trace-dir DIR]\n";
         return 2;
     }
-
-    if (std::getenv("JAVELIN_FAST") != nullptr)
-        scenario.benchmarks = {"_213_javac", "_209_db",
-                               "_222_mpegaudio", "euler"};
 
     std::vector<workloads::BenchmarkProfile> benches;
     for (const auto &name : scenario.benchmarks)

@@ -11,7 +11,6 @@
  * of 17.5 W being the visible exception).
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -25,13 +24,8 @@ using namespace javelin::harness;
 int
 main()
 {
-    const bool fast = std::getenv("JAVELIN_FAST") != nullptr;
-    auto benches = workloads::allBenchmarks();
-    if (fast)
-        benches.resize(4);
-    const std::vector<std::uint32_t> heaps =
-        fast ? std::vector<std::uint32_t>{32, 128}
-             : std::vector<std::uint32_t>{32, 64, 96, 128};
+    const auto &benches = workloads::allBenchmarks();
+    const std::vector<std::uint32_t> heaps = {32, 64, 96, 128};
 
     std::vector<ExperimentResult> rows;
     RunningStat appAvg, gcAvg, clAvg;

@@ -9,7 +9,6 @@
  * draws about the same power as the Jikes one.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -23,10 +22,7 @@ using namespace javelin::harness;
 int
 main()
 {
-    const bool fast = std::getenv("JAVELIN_FAST") != nullptr;
-    auto benches = workloads::allBenchmarks();
-    if (fast)
-        benches.resize(4);
+    const auto &benches = workloads::allBenchmarks();
 
     std::vector<ExperimentResult> rows;
     RunningStat gcShare, clShare, jitShare, gcPower;

@@ -9,7 +9,6 @@
  * curves of Fig. 7.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -23,10 +22,7 @@ using namespace javelin::harness;
 int
 main()
 {
-    const bool fast = std::getenv("JAVELIN_FAST") != nullptr;
-    auto benches = workloads::allBenchmarks();
-    if (fast)
-        benches.resize(4);
+    const auto &benches = workloads::allBenchmarks();
     const std::vector<std::uint32_t> heaps(kP6HeapsMB.begin(),
                                            kP6HeapsMB.end());
 

@@ -16,7 +16,6 @@
  *    model totals are printed alongside).
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -46,11 +45,6 @@ main(int argc, char **argv)
         std::cerr << "usage: fig_cotenancy_interference "
                      "[--scenario-out FILE]\n";
         return 2;
-    }
-
-    if (std::getenv("JAVELIN_FAST") != nullptr) {
-        scenario.benchmarks = {"_202_jess"};
-        scenario.tenantCounts = {1, 2};
     }
 
     const auto tasks = expandScenario(scenario);

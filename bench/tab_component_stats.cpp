@@ -14,7 +14,6 @@
  * sampling *mechanism* is unchanged.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -27,16 +26,11 @@ using namespace javelin;
 int
 main()
 {
-    const bool fast = std::getenv("JAVELIN_FAST") != nullptr;
     const auto collectors = {
         jvm::CollectorKind::GenCopy, jvm::CollectorKind::SemiSpace,
         jvm::CollectorKind::GenMS, jvm::CollectorKind::MarkSweep};
 
-    std::vector<workloads::BenchmarkProfile> benches;
-    for (const auto &b : workloads::suiteBenchmarks("SpecJVM98"))
-        benches.push_back(b);
-    if (fast)
-        benches.resize(3);
+    const auto benches = workloads::suiteBenchmarks("SpecJVM98");
 
     Table power({"collector", "GC avgW", "GC IPC", "GC L2miss",
                  "App avgW", "App IPC", "App L2miss", "mem%"});

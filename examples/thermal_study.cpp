@@ -1,16 +1,19 @@
 /**
  * @file
  * Example: the fan-failure scenario of paper Fig. 1, driven through the
- * public API — run a workload in a loop, watch the die temperature, and
- * observe the emergency 50%-duty throttle engage, with and without the
- * thermal-aware GC policy of Section VI-C. The two scenarios simulate
- * independent systems, so they run concurrently on the sweep pool and
- * their buffered timelines print side by side afterwards.
+ * public API — harness::runThermalStudy runs a workload in a loop,
+ * records the die temperature, and shows the emergency 50%-duty
+ * throttle engage, with and without the thermal-aware GC policy of
+ * Section VI-C. The two studies simulate independent systems, so they
+ * run concurrently on the sweep pool and their timelines print side
+ * by side afterwards.
  *
  * Usage: thermal_study [benchmark] [paper-seconds]
  */
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -23,85 +26,48 @@ using namespace javelin::harness;
 
 namespace {
 
-// Time-dilate the thermal mass so minutes of board time fit in
-// milliseconds of simulated time (see bench/fig01 for details).
-constexpr double kThermalScale = 4000.0;
+/** Print one row per this many 500 us timeline samples (2 ms). */
+constexpr std::size_t kRowEvery = 4;
 
-struct ScenarioReport
+std::string
+renderTimeline(const ThermalStudyResult &r)
 {
-    std::string timeline;
-    int runs = 0;
-    double peakC = 0.0;
-    double throttledPaperSeconds = 0.0;
-    double joulesEquivalent = 0.0;
-};
-
-ScenarioReport
-runScenario(const std::string &bench, double horizon_paper_s,
-            bool thermal_gc, double guard_temp_c)
-{
-    auto spec = scaledPlatformSpec(ExperimentConfig{});
-    spec.thermal.capacitanceJperC /= kThermalScale;
-
-    const auto program = workloads::buildProgram(
-        workloads::benchmark(bench),
-        workloads::studyScaleFor(workloads::DatasetScale::Small));
-
-    sim::System system(spec);
-    system.thermal().setFanEnabled(false);
-
-    ScenarioReport report;
     std::ostringstream out;
     out << "t(paper s)  T(C)    duty   note\n";
-
+    out.setf(std::ios::fixed);
+    out.precision(1);
     bool announcedThrottle = false;
-    system.addPeriodicTask(2 * kTicksPerMilli, [&](Tick now) {
-        const double t = ticksToSeconds(now) * kThermalScale;
-        out.setf(std::ios::fixed);
-        out.precision(1);
-        out << t << "\t    " << system.thermal().temperatureC()
-            << "\t  " << system.cpu().dutyCycle();
-        if (system.thermal().throttled() && !announcedThrottle) {
+    for (std::size_t i = kRowEvery - 1; i < r.timeline.size();
+         i += kRowEvery) {
+        const ThermalSample &s = r.timeline[i];
+        out << s.seconds << "\t    " << s.tempC << "\t  " << s.duty;
+        if (s.throttled && !announcedThrottle) {
             out << "   <-- emergency throttle engaged";
             announcedThrottle = true;
         }
         out << "\n";
-    });
-
-    jvm::JvmConfig cfg;
-    cfg.collector = jvm::CollectorKind::GenCopy;
-    cfg.heapBytes = scaledHeapBytes(ExperimentConfig{});
-
-    jvm::Jvm *current = nullptr;
-    if (thermal_gc) {
-        system.addPeriodicTask(200 * kTicksPerMicro, [&](Tick) {
-            if (!current)
-                return;
-            if (system.thermal().temperatureC() < guard_temp_c)
-                return;
-            if (current->port().current() != core::ComponentId::App)
-                return; // never re-enter the collector
-            current->collector().collect(false);
-        });
     }
+    return out.str();
+}
 
-    const Tick horizon = secondsToTicks(horizon_paper_s / kThermalScale);
-    while (system.cpu().now() < horizon) {
-        jvm::Jvm vm(system, program, cfg);
-        current = &vm;
-        const auto r = vm.run();
-        current = nullptr;
-        ++report.runs;
-        if (r.outOfMemory)
-            break;
-    }
-
-    report.timeline = out.str();
-    report.peakC = system.thermal().maxTemperatureC();
-    report.throttledPaperSeconds =
-        system.thermal().throttledSeconds() * kThermalScale;
-    report.joulesEquivalent = system.cpuJoules() * kThermalScale;
-    return report;
+/**
+ * Parse the horizon as a finite positive decimal ("200", "37.5"):
+ * strtod alone would accept a sign, an exponent, hex, "inf" and "nan".
+ * False on anything else, leaving `out` untouched.
+ */
+bool
+parseHorizon(const char *text, double &out)
+{
+    const std::size_t digits = std::strspn(text, "0123456789.");
+    const char *point = std::strchr(text, '.');
+    if (digits == 0 || text[digits] != '\0' ||
+        (point && std::strchr(point + 1, '.')))
+        return false;
+    const double v = std::strtod(text, nullptr);
+    if (!(v > 0.0) || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
 }
 
 } // namespace
@@ -110,7 +76,11 @@ int
 main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "_222_mpegaudio";
-    const double horizonPaperS = argc > 2 ? std::atof(argv[2]) : 200.0;
+    double horizonPaperS = 200.0;
+    if (argc > 3 || (argc > 2 && !parseHorizon(argv[2], horizonPaperS))) {
+        std::cerr << "usage: thermal_study [benchmark] [paper-seconds]\n";
+        return 2;
+    }
     const double guardC = 95.0;
 
     std::cout << "fan disabled; running " << name
@@ -118,26 +88,29 @@ main(int argc, char **argv)
                  "without thermal-aware GC (guard "
               << guardC << " C)...\n";
 
-    ScenarioReport reports[2];
+    ThermalStudyResult reports[2];
     SweepRunner::parallelFor(2, [&](std::size_t i) {
-        reports[i] =
-            runScenario(name, horizonPaperS, i == 1, guardC);
+        ThermalStudyConfig cfg;
+        cfg.benchmark = name;
+        cfg.horizonSeconds = horizonPaperS;
+        cfg.guardC = i == 1 ? guardC : 0.0;
+        reports[i] = runThermalStudy(cfg);
     });
 
     const char *labels[2] = {"baseline (no policy)",
                              "thermal-aware GC"};
     for (int i = 0; i < 2; ++i) {
         const auto &r = reports[i];
-        std::cout << "\n--- " << labels[i] << " ---\n" << r.timeline;
+        std::cout << "\n--- " << labels[i] << " ---\n"
+                  << renderTimeline(r);
         std::cout << "completed " << r.runs << " benchmark runs; peak "
-                  << r.peakC << " C; throttled "
-                  << r.throttledPaperSeconds
-                  << " equivalent seconds; total energy "
-                  << r.joulesEquivalent << " J equivalent\n";
+                  << r.peakC << " C; throttled " << r.throttledSeconds
+                  << " equivalent seconds; total energy " << r.cpuJoules
+                  << " J equivalent\n";
     }
 
-    const double delta = reports[1].throttledPaperSeconds -
-                         reports[0].throttledPaperSeconds;
+    const double delta =
+        reports[1].throttledSeconds - reports[0].throttledSeconds;
     std::cout << "\nthermal-aware GC " << (delta < 0 ? "cut" : "added")
               << " " << std::fabs(delta)
               << " equivalent seconds of 50%-duty emergency throttling "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "core/energy_accounting.hh"
@@ -75,6 +76,16 @@ jvmConfigFor(const ExperimentConfig &config)
     vm.adaptiveOptimization = config.adaptiveOptimization;
     vm.chargeBarrierCost = config.chargeBarrierCost;
     return vm;
+}
+
+/** The benchmark's program at the config's dataset and study scale. */
+jvm::Program
+buildProgramFor(const ExperimentConfig &config,
+                const workloads::BenchmarkProfile &profile)
+{
+    workloads::StudyScale scale = workloads::studyScaleFor(config.dataset);
+    scale.volume = config.heapScale;
+    return workloads::buildProgram(profile, scale);
 }
 
 /**
@@ -262,9 +273,68 @@ runExperiment(const ExperimentConfig &config,
 {
     if (config.tenants > 0)
         return runCoTenancy(config, profile);
-    workloads::StudyScale scale = workloads::studyScaleFor(config.dataset);
-    scale.volume = config.heapScale;
-    return runExperiment(config, workloads::buildProgram(profile, scale));
+    return runExperiment(config, buildProgramFor(config, profile));
+}
+
+ThermalStudyResult
+runThermalStudy(const ThermalStudyConfig &study)
+{
+    // Also rejects inf and NaN, and horizons past the Tick range.
+    JAVELIN_ASSERT(study.horizonSeconds > 0 &&
+                       study.horizonSeconds / kThermalScale <
+                           ticksToSeconds(
+                               std::numeric_limits<Tick>::max()),
+                   "thermal study horizon must be positive and finite: ",
+                   study.horizonSeconds);
+    ExperimentConfig config;
+    config.dataset = workloads::DatasetScale::Small;
+    sim::PlatformSpec spec = scaledPlatformSpec(config);
+    spec.thermal.capacitanceJperC /= kThermalScale;
+    const jvm::Program program =
+        buildProgramFor(config, workloads::benchmark(study.benchmark));
+    const jvm::JvmConfig vmConfig = jvmConfigFor(config);
+
+    sim::System system(spec);
+    system.thermal().setFanEnabled(study.fanEnabled);
+
+    ThermalStudyResult res;
+    system.addPeriodicTask(500 * kTicksPerMicro, [&](Tick now) {
+        res.timeline.push_back({ticksToSeconds(now) * kThermalScale,
+                                system.thermal().temperatureC(),
+                                system.cpu().dutyCycle(),
+                                system.thermal().throttled()});
+    });
+    // One long-lived policy task; `current` is the VM in flight (null
+    // between runs).
+    jvm::Jvm *current = nullptr;
+    if (study.guardC > 0) {
+        system.addPeriodicTask(200 * kTicksPerMicro, [&](Tick) {
+            if (current &&
+                system.thermal().temperatureC() >= study.guardC &&
+                current->port().current() == core::ComponentId::App)
+                current->collector().collect(false);
+        });
+    }
+
+    const Tick horizon =
+        secondsToTicks(study.horizonSeconds / kThermalScale);
+    while (system.cpu().now() < horizon) {
+        jvm::Jvm vm(system, program, vmConfig);
+        current = &vm;
+        const jvm::RunResult run = vm.run();
+        current = nullptr;
+        ++res.runs;
+        res.collections += run.gc.collections;
+        res.bytecodes += run.bytecodesExecuted;
+        if (run.outOfMemory)
+            break;
+    }
+    res.seconds = ticksToSeconds(system.cpu().now()) * kThermalScale;
+    res.throttledSeconds =
+        system.thermal().throttledSeconds() * kThermalScale;
+    res.cpuJoules = system.cpuJoules() * kThermalScale;
+    res.peakC = system.thermal().maxTemperatureC();
+    return res;
 }
 
 } // namespace harness

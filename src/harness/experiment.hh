@@ -182,6 +182,61 @@ ExperimentResult runExperiment(const ExperimentConfig &config,
 ExperimentResult runExperiment(const ExperimentConfig &config,
                                const jvm::Program &program);
 
+/**
+ * Thermal time dilation of the study scale: a thermal study divides the
+ * package's thermal capacitance by this, shortening the RC time
+ * constant as much as the study scale shortens the runs, so one
+ * simulated second stands for kThermalScale seconds of the paper's
+ * board ("equivalent paper seconds").
+ */
+constexpr double kThermalScale = 4000.0;
+
+/**
+ * One thermal study (paper Fig. 1, Section VI-C, DESIGN.md §4): Jikes
+ * RVM + GenCopy (32 MB label, Small dataset) runs the benchmark VM
+ * after VM on one warm study-scale P6 until the horizon. No instrument
+ * is attached; a 500 us timeline records the die.
+ */
+struct ThermalStudyConfig
+{
+    std::string benchmark = "_222_mpegaudio";
+    bool fanEnabled = false;
+    /** Study length in equivalent paper seconds (positive, finite). */
+    double horizonSeconds = 180.0;
+    /**
+     * Thermal-aware GC (Section VI-C): every 200 us, force a collection
+     * while the application runs and the die is at or above this
+     * temperature. 0 = no policy.
+     */
+    double guardC = 0.0;
+};
+
+/** One timeline sample, every 500 us of simulated time. */
+struct ThermalSample
+{
+    /** Equivalent paper seconds. */
+    double seconds = 0.0;
+    double tempC = 0.0;
+    double duty = 1.0;
+    bool throttled = false;
+};
+
+/** A thermal study's timeline and totals, in equivalent paper units. */
+struct ThermalStudyResult
+{
+    std::vector<ThermalSample> timeline;
+    /** VMs run to completion. */
+    std::uint32_t runs = 0;
+    double seconds = 0.0;
+    double throttledSeconds = 0.0;
+    double cpuJoules = 0.0;
+    double peakC = 0.0;
+    std::uint64_t collections = 0;
+    std::uint64_t bytecodes = 0;
+};
+
+ThermalStudyResult runThermalStudy(const ThermalStudyConfig &config);
+
 } // namespace harness
 } // namespace javelin
 

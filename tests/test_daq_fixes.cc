@@ -103,6 +103,37 @@ TEST(DaqFixes, BurstyWindowsReconcileButPeriodWeightingDoesNot)
     EXPECT_GT(std::abs(naive - model), model * 0.05);
 }
 
+/**
+ * A catch-up sample covers no time of its own: the best estimate for
+ * it is the gap's window average, which the sample that opened the
+ * burst measured. So each one repeats the watts of the sample before
+ * it exactly, never 0 W.
+ */
+TEST(DaqFixes, CatchUpSamplesRepeatTheGapAverage)
+{
+    System sys(testSpec());
+    ComponentPort port(sys);
+    Daq daq(sys, port);
+    const Tick p = daq.period();
+    for (int i = 0; i < 40; ++i) {
+        burnWithoutPolling(sys, sys.cpu().now() + 5 * p / 2);
+        sys.poll();
+        sys.idleFor(5 * p / 2);
+    }
+
+    const auto &trace = daq.trace();
+    std::size_t catchUps = 0;
+    for (std::size_t i = 1; i < trace.size(); ++i) {
+        if (trace[i].windowTicks != 0)
+            continue;
+        ++catchUps;
+        EXPECT_EQ(trace[i].cpuWatts, trace[i - 1].cpuWatts) << i;
+        EXPECT_EQ(trace[i].memWatts, trace[i - 1].memWatts) << i;
+    }
+    ASSERT_GT(catchUps, 0u);
+    EXPECT_NE(trace.front().windowTicks, 0u);
+}
+
 TEST(DaqFixes, AttributionIntegratesActualWindows)
 {
     System sys(testSpec());

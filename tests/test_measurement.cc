@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "core/attribution.hh"
@@ -324,6 +325,39 @@ TEST(Attribution, FractionsSumToOne)
         total += a.energyFraction(static_cast<ComponentId>(i));
     EXPECT_NEAR(total, 1.0, 1e-9);
     EXPECT_GE(a.peakCpuWatts, a.totalCpuJoules / a.totalSeconds);
+}
+
+TEST(Attribution, PerfSamplesCountEachComponentsRecords)
+{
+    auto spec = testSpec();
+    spec.hpmPeriod = 100 * kTicksPerMicro;
+    System sys(spec);
+    ComponentPort port(sys);
+    core::HpmSampler hpm(sys, port);
+    // Phases of unequal length, so every component's count differs.
+    for (int phase = 0; phase < 6; ++phase) {
+        port.push(static_cast<ComponentId>(phase % 4));
+        const Tick end = sys.cpu().now() +
+                         static_cast<Tick>(phase + 1) * kTicksPerMilli / 2;
+        while (sys.cpu().now() < end)
+            burn(sys, 250);
+        port.pop();
+    }
+    hpm.stop();
+
+    std::array<std::uint64_t, core::kNumComponents> want{};
+    for (const auto &s : hpm.trace())
+        ++want[core::componentIndex(s.component)];
+    const auto a = core::attribute({}, hpm.trace());
+    std::uint64_t total = 0;
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < core::kNumComponents; ++i) {
+        EXPECT_EQ(a.perf[i].samples, want[i]) << i;
+        total += a.perf[i].samples;
+        seen += want[i] > 0;
+    }
+    EXPECT_EQ(total, hpm.trace().size());
+    EXPECT_EQ(seen, 4u);
 }
 
 TEST(Attribution, JvmFractionExcludesApp)
