@@ -25,12 +25,16 @@
 using namespace javelin;
 using namespace javelin::harness;
 
+/** Every study's span, in equivalent paper seconds. */
+constexpr double kHorizonSeconds = 180.0;
+
 int
 main()
 {
     std::cout << "=== A3: thermal-aware GC triggering (Section VI-C "
                  "proposal), fan disabled, _202_jess ===\n"
-              << "(fixed wall-clock horizon; equivalent paper units)\n\n";
+              << "(every study measured over [0, " << kHorizonSeconds
+              << " s]; equivalent paper units)\n\n";
 
     // An allocation-heavy benchmark: proactive collections occupy a
     // substantial duty cycle, which is what produces cooling (for a
@@ -44,6 +48,7 @@ main()
     SweepRunner::parallelFor(outcomes.size(), [&](std::size_t i) {
         ThermalStudyConfig cfg;
         cfg.benchmark = "_202_jess";
+        cfg.horizonSeconds = kHorizonSeconds;
         cfg.guardC = guards[i];
         outcomes[i] = runThermalStudy(cfg);
     });
@@ -59,7 +64,7 @@ main()
     t.cell("baseline").cell(base.peakC, 1).cell(basePct, 1);
     t.cell(base.collections).cell(1.0, 3).cell(1.0, 3);
 
-    std::size_t reduced = 0;
+    std::size_t reduced = 0, lessWork = 0;
     for (std::size_t g = 1; g < guards.size(); ++g) {
         const ThermalStudyResult &o = outcomes[g];
         const double pct = throttledPct(o);
@@ -70,14 +75,18 @@ main()
         t.cell(pct, 1);
         t.cell(o.collections);
         t.cell(o.cpuJoules / base.cpuJoules, 3);
-        // Work proxy: collections aside, both studies run the same
-        // benchmark in a loop; time spent unthrottled is the win.
-        t.cell((100.0 - pct) / (100.0 - basePct), 3);
+        // Work: the application's bytecodes executed by the horizon.
+        t.cell(static_cast<double>(o.bytecodes) /
+                   static_cast<double>(base.bytecodes),
+               3);
+        lessWork += o.bytecodes < base.bytecodes;
     }
     t.print(std::cout);
     std::cout << "\nTriggering the low-power GC below the trip point "
                  "reduces time spent in 50%-duty emergency throttling at "
               << reduced << " of " << guards.size() - 1
-              << " guards (the paper anticipates that it would).\n";
+              << " guards (the paper anticipates that it would); the "
+                 "application executes fewer bytecodes by the horizon at "
+              << lessWork << " of " << guards.size() - 1 << ".\n";
     return 0;
 }

@@ -297,12 +297,15 @@ runThermalStudy(const ThermalStudyConfig &study)
     sim::System system(spec);
     system.thermal().setFanEnabled(study.fanEnabled);
 
+    const Tick horizon =
+        secondsToTicks(study.horizonSeconds / kThermalScale);
     ThermalStudyResult res;
     system.addPeriodicTask(500 * kTicksPerMicro, [&](Tick now) {
-        res.timeline.push_back({ticksToSeconds(now) * kThermalScale,
-                                system.thermal().temperatureC(),
-                                system.cpu().dutyCycle(),
-                                system.thermal().throttled()});
+        if (now <= horizon)
+            res.timeline.push_back({ticksToSeconds(now) * kThermalScale,
+                                    system.thermal().temperatureC(),
+                                    system.cpu().dutyCycle(),
+                                    system.thermal().throttled()});
     });
     // One long-lived policy task; `current` is the VM in flight (null
     // between runs).
@@ -315,25 +318,44 @@ runThermalStudy(const ThermalStudyConfig &study)
                 current->collector().collect(false);
         });
     }
+    // Every total covers exactly [0, H], so studies that differ only in
+    // policy compare equal spans: the VM running at H finishes, but the
+    // totals are read at H, its collections and bytecodes so far
+    // included. A run that ran out of memory ends the study early.
+    bool measured = false;
+    const auto measure = [&] {
+        if (measured)
+            return;
+        measured = true;
+        const Tick end = std::min(system.cpu().now(), horizon);
+        res.seconds = ticksToSeconds(end) * kThermalScale;
+        res.throttledSeconds =
+            system.thermal().throttledSeconds() * kThermalScale;
+        res.cpuJoules = system.cpuJoules() * kThermalScale;
+        res.peakC = system.thermal().maxTemperatureC();
+        if (current) {
+            res.collections += current->collector().stats().collections;
+            res.bytecodes += current->engine().bytecodesExecuted();
+        }
+    };
+    system.addPeriodicTask(horizon, [&](Tick) { measure(); });
 
-    const Tick horizon =
-        secondsToTicks(study.horizonSeconds / kThermalScale);
     while (system.cpu().now() < horizon) {
         jvm::Jvm vm(system, program, vmConfig);
         current = &vm;
         const jvm::RunResult run = vm.run();
         current = nullptr;
+        if (measured)
+            break;
         ++res.runs;
         res.collections += run.gc.collections;
         res.bytecodes += run.bytecodesExecuted;
         if (run.outOfMemory)
             break;
     }
-    res.seconds = ticksToSeconds(system.cpu().now()) * kThermalScale;
-    res.throttledSeconds =
-        system.thermal().throttledSeconds() * kThermalScale;
-    res.cpuJoules = system.cpuJoules() * kThermalScale;
-    res.peakC = system.thermal().maxTemperatureC();
+    // A run that ended at or past H without polling there.
+    system.poll();
+    measure();
     return res;
 }
 
