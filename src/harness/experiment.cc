@@ -180,6 +180,9 @@ struct Rig
  */
 constexpr double kRequestVolumeDivisor = 64.0;
 
+/** Thermal time dilation: equivalent paper seconds per simulated one. */
+constexpr double kThermalScale = 4000.0;
+
 /** Collector for tenant i under the rotation policy. */
 jvm::CollectorKind
 tenantCollector(const ExperimentConfig &config, std::uint32_t i)
@@ -346,7 +349,7 @@ runThermalStudy(const ThermalStudyConfig &study)
         const jvm::RunResult run = vm.run();
         current = nullptr;
         if (measured)
-            break;
+            break; // counted up to H
         ++res.runs;
         res.collections += run.gc.collections;
         res.bytecodes += run.bytecodesExecuted;

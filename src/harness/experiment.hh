@@ -183,19 +183,14 @@ ExperimentResult runExperiment(const ExperimentConfig &config,
                                const jvm::Program &program);
 
 /**
- * Thermal time dilation of the study scale: a thermal study divides the
- * package's thermal capacitance by this, shortening the RC time
- * constant as much as the study scale shortens the runs, so one
- * simulated second stands for kThermalScale seconds of the paper's
- * board ("equivalent paper seconds").
- */
-constexpr double kThermalScale = 4000.0;
-
-/**
  * One thermal study (paper Fig. 1, Section VI-C, DESIGN.md §4): Jikes
  * RVM + GenCopy (32 MB label, Small dataset) runs the benchmark VM
- * after VM on one warm study-scale P6 until the horizon. No instrument
- * is attached; a 500 us timeline records the die.
+ * after VM on one warm study-scale P6 until the horizon. The package's
+ * thermal capacitance is divided by 4000, shortening the RC time
+ * constant as much as the study scale shortens the runs, so one
+ * simulated second stands for 4000 seconds of the paper's board
+ * ("equivalent paper seconds"). No instrument is attached; a 500 us
+ * timeline records the die.
  */
 struct ThermalStudyConfig
 {
@@ -221,7 +216,11 @@ struct ThermalSample
     bool throttled = false;
 };
 
-/** A thermal study's timeline and totals, in equivalent paper units. */
+/**
+ * A thermal study's timeline and totals, in equivalent paper units.
+ * Everything covers exactly [0, horizon]: the VM running at the
+ * horizon finishes, but is counted only up to it.
+ */
 struct ThermalStudyResult
 {
     std::vector<ThermalSample> timeline;
