@@ -311,7 +311,8 @@ runThermalStudy(const ThermalStudyConfig &study)
                                     system.thermal().throttled()});
     });
     // One long-lived policy task; `current` is the VM in flight (null
-    // between runs).
+    // between runs). It collects only while the application runs, so
+    // it never re-enters the collector.
     jvm::Jvm *current = nullptr;
     if (study.guardC > 0) {
         system.addPeriodicTask(200 * kTicksPerMicro, [&](Tick) {

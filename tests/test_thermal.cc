@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "harness/experiment.hh"
