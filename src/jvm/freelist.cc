@@ -21,12 +21,10 @@ FreeListAllocator::Block::setAllocated(std::uint32_t cell, bool on)
 }
 
 FreeListAllocator::FreeListAllocator(Heap &heap, const Space &space)
-    : heap_(heap), space_(space)
+    : heap_(heap),
+      space_(space.name, space.start,
+             space.size & ~static_cast<std::uint64_t>(kBlockBytes - 1))
 {
-    JAVELIN_ASSERT(space_.size % kBlockBytes == 0,
-                   "mark-sweep space must be block aligned, got ",
-                   space_.size);
-    space_.cursor = space_.start;
     availHead_.fill(-1);
     carveBlock_.fill(-1);
     blocks_.reserve(space_.size / kBlockBytes);

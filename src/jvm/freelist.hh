@@ -81,6 +81,8 @@ class FreeListAllocator
         void setAllocated(std::uint32_t cell, bool on);
     };
 
+    /** Manage the whole blocks of `space`: its size is rounded down
+     *  to a multiple of kBlockBytes. */
     FreeListAllocator(Heap &heap, const Space &space);
 
     /** Size class index for a request; panics above kMaxCellBytes. */

@@ -279,9 +279,6 @@ class Collector
         env_.system.cpu().execute(micro_ops, code_addr, micro_ops * 4);
     }
 
-    /** Record the pause and keep periodic samplers running. */
-    void pollSamplers() { env_.system.poll(); }
-
     GcEnv env_;
     /** Precomputed per-phase charges for this platform. */
     GcCostTable costs_;

@@ -1,148 +1,32 @@
 #include "jvm/gc/gencopy.hh"
 
-#include <algorithm>
-
-#include "jvm/gc/evacuator.hh"
-
 namespace javelin {
 namespace jvm {
 
 GenCopyCollector::GenCopyCollector(const GcEnv &env)
-    : Collector(env), remset_(env.system)
+    : GenerationalCollector(env)
 {
-    // A bounded nursery (an eighth of the heap, as in the JMTk default
-    // configuration) leaves the mature semispaces room to breathe.
-    const std::uint64_t nurseryBytes = (env_.heap.size() / 8) & ~7ULL;
-    const std::uint64_t half = ((env_.heap.size() - nurseryBytes) / 2)
-                               & ~7ULL;
-    Address at = env_.heap.base();
-    nursery_ = Space("nursery", at, nurseryBytes);
-    at += nurseryBytes;
-    mature_[0] = Space("mature0", at, half);
-    at += half;
-    mature_[1] = Space("mature1", at, half);
+    const std::uint64_t half = (matureBytes() / 2) & ~7ULL;
+    mature_[0] = Space("mature0", matureStart(), half);
+    mature_[1] = Space("mature1", matureStart() + half, half);
     recomputeNurseryLimit();
 }
 
-void
-GenCopyCollector::recomputeNurseryLimit()
+Evacuator::AllocFn
+GenCopyCollector::promotionTarget()
 {
-    // Appel-style bound: never let more live bytes accumulate in the
-    // nursery than the active mature half can absorb.
-    nurseryLimit_ = std::min<std::uint64_t>(
-        nursery_.size, mature_[activeHalf_].freeBytes());
-}
-
-Address
-GenCopyCollector::allocate(std::uint32_t bytes)
-{
-    if (oom_)
-        return kNull;
-    chargeWork(7, kAllocCode);
-
-    if (bytes >= kPretenureBytes) {
-        Address addr = mature_[activeHalf_].bump(bytes);
-        if (addr == kNull) {
-            majorCollect();
-            if (oom_)
-                return kNull;
-            addr = mature_[activeHalf_].bump(bytes);
-            if (addr == kNull)
-                return kNull;
-        }
-        recomputeNurseryLimit();
-        stats_.bytesAllocated += bytes;
-        ++stats_.objectsAllocated;
-        return addr;
-    }
-
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        if (nursery_.used() + bytes <= nurseryLimit_) {
-            const Address addr = nursery_.bump(bytes);
-            if (addr != kNull) {
-                stats_.bytesAllocated += bytes;
-                ++stats_.objectsAllocated;
-                return addr;
-            }
-        }
-        // Nursery exhausted (or limit shrunk): collect and retry.
-        minorCollect();
-        if (oom_)
-            return kNull;
-        if (nurseryLimit_ < std::max<std::uint64_t>(kMinNursery, bytes)) {
-            majorCollect();
-            if (oom_)
-                return kNull;
-        }
-    }
-    return kNull;
-}
-
-void
-GenCopyCollector::writeBarrier(Address holder, Address slot_addr,
-                               Address value)
-{
-    if (env_.chargeBarrierCost)
-        chargeWork(3, kBarrierCode);
-    if (value == kNull || inNursery(holder) || !inNursery(value))
-        return;
-    ++stats_.barrierHits;
-    ++stats_.remsetEntries;
-    remset_.record(slot_addr);
-}
-
-void
-GenCopyCollector::minorCollect()
-{
-    env_.host.gcBegin(false);
-    const Tick start = env_.system.cpu().now();
-
     Space &target = mature_[activeHalf_];
-    Evacuator evac(
-        env_, costs_, stats_, MoveRegion::of(nursery_),
-        [&target](std::uint32_t bytes, std::uint32_t *) {
-            return target.bump(bytes);
-        });
+    return [&target](std::uint32_t bytes, std::uint32_t *) {
+        return target.bump(bytes);
+    };
+}
 
-    env_.host.forEachRoot([&evac](Address &ref) {
-        evac.processSlot(ref);
-    });
-    // Remembered-set entries are roots for a minor collection. Replaying
-    // the SSB reads the buffer back: charge one window load per entry.
-    remset_.chargeReplayReads(env_.fastPath);
-    Heap &heap = env_.heap;
-    remset_.forEach([&](Address slot) {
-        env_.system.cpu().load(slot);
-        Address ref = heap.read64(slot);
-        const Address before = ref;
-        evac.processSlot(ref);
-        if (ref != before) {
-            env_.system.cpu().store(slot);
-            heap.write64(slot, ref);
-        }
-    });
-    evac.drain();
-    remset_.clear();
-
-    if (evac.failed()) {
-        // The Appel bound makes this unreachable unless the heap itself
-        // is too small for the live set; fall back to a major collection.
-        majorCollect();
-        if (oom_) {
-            env_.host.gcEnd(false);
-            return;
-        }
-    }
-
-    nursery_.reset();
-    recomputeNurseryLimit();
-    ++stats_.collections;
-    ++stats_.minorCollections;
-    stats_.pauseTicks += env_.system.cpu().now() - start;
-    env_.host.gcEnd(false);
-
-    if (nurseryLimit_ < kMinNursery)
-        majorCollect();
+void
+GenCopyCollector::promotionFailed(Evacuator &)
+{
+    // The Appel bound makes this unreachable unless the heap itself is
+    // too small for the live set; fall back to a major collection.
+    majorCollect();
 }
 
 void
@@ -181,21 +65,6 @@ GenCopyCollector::majorCollect()
     ++stats_.majorCollections;
     stats_.pauseTicks += env_.system.cpu().now() - start;
     env_.host.gcEnd(true);
-}
-
-void
-GenCopyCollector::collect(bool major)
-{
-    if (major)
-        majorCollect();
-    else
-        minorCollect();
-}
-
-std::uint64_t
-GenCopyCollector::heapUsed() const
-{
-    return nursery_.used() + mature_[activeHalf_].used();
 }
 
 } // namespace jvm

@@ -2,19 +2,15 @@
  * @file
  * Generational copying collector (GenCopy, paper Fig. 3).
  *
- * New objects allocate in a nursery; minor collections copy nursery
- * survivors into the mature space, which is itself managed as a pair of
- * semispaces collected by a full copying pass when it fills. A write
- * barrier records mature-to-nursery pointers in a sequential store
- * buffer. The nursery size adapts (Appel-style) so promotion can never
- * overflow the mature space mid-collection.
+ * The shared nursery (generational.hh) promotes survivors into a
+ * mature space managed as a pair of semispaces, which a full copying
+ * pass collects when it fills.
  */
 
 #ifndef JAVELIN_JVM_GC_GENCOPY_HH
 #define JAVELIN_JVM_GC_GENCOPY_HH
 
-#include "jvm/gc/collector.hh"
-#include "jvm/gc/remset.hh"
+#include "jvm/gc/generational.hh"
 
 namespace javelin {
 namespace jvm {
@@ -22,41 +18,37 @@ namespace jvm {
 /**
  * Nursery + copying mature space.
  */
-class GenCopyCollector : public Collector
+class GenCopyCollector final : public GenerationalCollector
 {
   public:
     explicit GenCopyCollector(const GcEnv &env);
 
     const char *name() const override { return "GenCopy"; }
-    Address allocate(std::uint32_t bytes) override;
-    void writeBarrier(Address holder, Address slot_addr,
-                      Address value) override;
-    bool needsWriteBarrier() const override { return true; }
-    void collect(bool major) override;
-    std::uint64_t heapUsed() const override;
 
-    const Space &nursery() const { return nursery_; }
     const Space &matureActive() const { return mature_[activeHalf_]; }
-    const RememberedSet &remset() const { return remset_; }
-    std::uint64_t nurseryLimit() const { return nurseryLimit_; }
 
   private:
-    void minorCollect();
-    void majorCollect();
-    void recomputeNurseryLimit();
-    bool inNursery(Address a) const { return nursery_.contains(a); }
+    Address
+    allocMature(std::uint32_t bytes) override
+    {
+        return mature_[activeHalf_].bump(bytes);
+    }
+    std::uint64_t
+    matureFreeBytes() const override
+    {
+        return mature_[activeHalf_].freeBytes();
+    }
+    std::uint64_t
+    matureUsedBytes() const override
+    {
+        return mature_[activeHalf_].used();
+    }
+    Evacuator::AllocFn promotionTarget() override;
+    void promotionFailed(Evacuator &evac) override;
+    void majorCollect() override;
 
-    /** Objects at least this large are allocated directly in mature. */
-    static constexpr std::uint32_t kPretenureBytes = 4096;
-    /** Smallest useful nursery before a major collection is forced. */
-    static constexpr std::uint64_t kMinNursery = 32 * 1024;
-
-    Space nursery_;
     Space mature_[2];
     int activeHalf_ = 0;
-    std::uint64_t nurseryLimit_ = 0;
-    RememberedSet remset_;
-    bool oom_ = false;
 };
 
 } // namespace jvm

@@ -1,46 +1,20 @@
 #include "jvm/gc/genms.hh"
 
-#include <algorithm>
-
-#include "jvm/gc/evacuator.hh"
 #include "jvm/gc/marker.hh"
 #include "jvm/gc/sweeper.hh"
 
 namespace javelin {
 namespace jvm {
 
-namespace {
-
-/** Largest multiple of the block size not above the given bytes. */
-std::uint64_t
-blockAlignDown(std::uint64_t bytes)
-{
-    return bytes & ~static_cast<std::uint64_t>(
-        FreeListAllocator::kBlockBytes - 1);
-}
-
-} // namespace
-
 GenMSCollector::GenMSCollector(const GcEnv &env)
-    : Collector(env),
-      nursery_("nursery", env.heap.base(), (env.heap.size() / 8) & ~7ULL),
-      mature_(env.heap,
-              Space("genms-mature", env.heap.base() + nursery_.size,
-                    blockAlignDown(env.heap.size() - nursery_.size))),
-      remset_(env.system)
+    : GenerationalCollector(env),
+      mature_(env.heap, Space("genms-mature", matureStart(), matureBytes()))
 {
     recomputeNurseryLimit();
 }
 
-void
-GenMSCollector::recomputeNurseryLimit()
-{
-    nurseryLimit_ =
-        std::min<std::uint64_t>(nursery_.size, mature_.freeBytes());
-}
-
 Address
-GenMSCollector::matureAlloc(std::uint32_t bytes)
+GenMSCollector::allocMature(std::uint32_t bytes)
 {
     std::uint32_t traffic = 0;
     const Address addr = mature_.alloc(bytes, &traffic);
@@ -49,131 +23,30 @@ GenMSCollector::matureAlloc(std::uint32_t bytes)
     return addr;
 }
 
-Address
-GenMSCollector::allocate(std::uint32_t bytes)
+Evacuator::AllocFn
+GenMSCollector::promotionTarget()
 {
-    if (oom_)
-        return kNull;
-    chargeWork(7, kAllocCode);
-
-    if (bytes >= kPretenureBytes) {
-        Address addr = matureAlloc(bytes);
-        if (addr == kNull) {
-            majorCollect();
-            if (oom_)
-                return kNull;
-            addr = matureAlloc(bytes);
-            if (addr == kNull)
-                return kNull;
-        }
-        recomputeNurseryLimit();
-        stats_.bytesAllocated += bytes;
-        ++stats_.objectsAllocated;
-        return addr;
-    }
-
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        if (nursery_.used() + bytes <= nurseryLimit_) {
-            const Address addr = nursery_.bump(bytes);
-            if (addr != kNull) {
-                stats_.bytesAllocated += bytes;
-                ++stats_.objectsAllocated;
-                return addr;
-            }
-        }
-        minorCollect();
-        if (oom_)
-            return kNull;
-        if (nurseryLimit_ < std::max<std::uint64_t>(kMinNursery, bytes)) {
-            majorCollect();
-            if (oom_)
-                return kNull;
-        }
-    }
-    return kNull;
+    return [this](std::uint32_t bytes, std::uint32_t *traffic) {
+        // The evacuator charges the reported free-list traffic at the
+        // same event position allocMature does.
+        return mature_.alloc(bytes, traffic);
+    };
 }
 
 void
-GenMSCollector::writeBarrier(Address holder, Address slot_addr,
-                             Address value)
+GenMSCollector::promotionFailed(Evacuator &evac)
 {
-    if (env_.chargeBarrierCost)
-        chargeWork(3, kBarrierCode);
-    if (value == kNull || inNursery(holder) || !inNursery(value))
-        return;
-    ++stats_.barrierHits;
-    ++stats_.remsetEntries;
-    remset_.record(slot_addr);
-}
-
-bool
-GenMSCollector::driveEvacuation(Evacuator &evac)
-{
-    env_.host.forEachRoot([&evac](Address &ref) {
-        evac.processSlot(ref);
-    });
-    // Replaying the SSB reads the buffer back: charge one window load
-    // per entry before walking the recorded slots.
-    remset_.chargeReplayReads(env_.fastPath);
-    Heap &heap = env_.heap;
-    remset_.forEach([&](Address slot) {
-        env_.system.cpu().load(slot);
-        Address ref = heap.read64(slot);
-        const Address before = ref;
-        evac.processSlot(ref);
-        if (ref != before) {
-            env_.system.cpu().store(slot);
-            heap.write64(slot, ref);
-        }
-    });
-    evac.drain();
-    return !evac.failed();
-}
-
-void
-GenMSCollector::minorCollect()
-{
-    env_.host.gcBegin(false);
-    const Tick start = env_.system.cpu().now();
-
-    Evacuator evac(
-        env_, costs_, stats_, MoveRegion::of(nursery_),
-        [this](std::uint32_t bytes, std::uint32_t *traffic) {
-            // The evacuator charges the reported free-list traffic at
-            // the same event position matureAlloc historically did.
-            return mature_.alloc(bytes, traffic);
-        });
-
-    if (!driveEvacuation(evac)) {
-        // Mature free space could not absorb the survivors. Mark-sweep
-        // the mature space and RESUME the same evacuation pass: the
-        // gray queue still holds copied-but-unscanned objects whose
-        // reference slots point into the nursery, so abandoning the
-        // pass would leave dangling young pointers behind. Pending
-        // copies are pinned as mark roots or the sweep could reclaim
-        // them mid-flight.
-        std::vector<Address> pending;
-        evac.forEachPending([&](Address a) { pending.push_back(a); });
-        markSweepMature(pending);
-        evac.resetFailure();
-        if (!driveEvacuation(evac))
-            oom_ = true;
-        if (oom_) {
-            env_.host.gcEnd(false);
-            return;
-        }
-    }
-
-    remset_.clear();
-    nursery_.reset();
-    recomputeNurseryLimit();
-    ++stats_.collections;
-    ++stats_.minorCollections;
-    stats_.pauseTicks += env_.system.cpu().now() - start;
-    env_.host.gcEnd(false);
-
-    if (nurseryLimit_ < kMinNursery)
-        markSweepMature();
+    // Mark-sweep the mature space and RESUME the same evacuation pass:
+    // the gray queue still holds copied-but-unscanned objects whose
+    // reference slots point into the nursery, so abandoning the pass
+    // would leave dangling young pointers behind. Pending copies are
+    // pinned as mark roots or the sweep could reclaim them mid-flight.
+    std::vector<Address> pending;
+    evac.forEachPending([&](Address a) { pending.push_back(a); });
+    markSweepMature(pending);
+    evac.resetFailure();
+    if (!evacuate(evac))
+        oom_ = true;
 }
 
 void
@@ -215,21 +88,6 @@ GenMSCollector::markSweepMature(const std::vector<Address> &extra_roots)
     ++stats_.majorCollections;
     stats_.pauseTicks += env_.system.cpu().now() - start;
     env_.host.gcEnd(true);
-}
-
-void
-GenMSCollector::collect(bool major)
-{
-    if (major)
-        majorCollect();
-    else
-        minorCollect();
-}
-
-std::uint64_t
-GenMSCollector::heapUsed() const
-{
-    return nursery_.used() + mature_.usedBytes();
 }
 
 } // namespace jvm

@@ -2,11 +2,11 @@
  * @file
  * Generational mark-sweep collector (GenMS, paper Fig. 3).
  *
- * Nursery allocation and promotion are identical in spirit to GenCopy,
- * but the mature space is a non-moving segregated free-list space
- * collected by mark-sweep when it fills. Combines the cheap minor
- * collections of a generational design with mark-sweep's space
- * efficiency (no copy reserve) in the old generation.
+ * The shared nursery (generational.hh) promotes survivors into a
+ * non-moving segregated free-list space, collected by mark-sweep when
+ * it fills. Combines the cheap minor collections of a generational
+ * design with mark-sweep's space efficiency (no copy reserve) in the
+ * old generation.
  */
 
 #ifndef JAVELIN_JVM_GC_GENMS_HH
@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "jvm/freelist.hh"
-#include "jvm/gc/collector.hh"
-#include "jvm/gc/evacuator.hh"
-#include "jvm/gc/remset.hh"
+#include "jvm/gc/generational.hh"
 
 namespace javelin {
 namespace jvm {
@@ -25,44 +23,35 @@ namespace jvm {
 /**
  * Nursery + mark-sweep mature space.
  */
-class GenMSCollector : public Collector
+class GenMSCollector final : public GenerationalCollector
 {
   public:
     explicit GenMSCollector(const GcEnv &env);
 
     const char *name() const override { return "GenMS"; }
-    Address allocate(std::uint32_t bytes) override;
-    void writeBarrier(Address holder, Address slot_addr,
-                      Address value) override;
-    bool needsWriteBarrier() const override { return true; }
-    void collect(bool major) override;
-    std::uint64_t heapUsed() const override;
 
-    const Space &nursery() const { return nursery_; }
     const FreeListAllocator &mature() const { return mature_; }
-    const RememberedSet &remset() const { return remset_; }
-    std::uint64_t nurseryLimit() const { return nurseryLimit_; }
 
   private:
-    void minorCollect();
-    void majorCollect();
+    Address allocMature(std::uint32_t bytes) override;
+    std::uint64_t
+    matureFreeBytes() const override
+    {
+        return mature_.freeBytes();
+    }
+    std::uint64_t
+    matureUsedBytes() const override
+    {
+        return mature_.usedBytes();
+    }
+    Evacuator::AllocFn promotionTarget() override;
+    void promotionFailed(Evacuator &evac) override;
+    void majorCollect() override;
     /** Mark-sweep the mature space only (no nursery preamble).
      *  extra_roots pins objects that are mid-evacuation. */
     void markSweepMature(const std::vector<Address> &extra_roots = {});
-    /** Drive one evacuation pass over roots + remset + gray queue. */
-    bool driveEvacuation(Evacuator &evac);
-    void recomputeNurseryLimit();
-    bool inNursery(Address a) const { return nursery_.contains(a); }
-    Address matureAlloc(std::uint32_t bytes);
 
-    static constexpr std::uint32_t kPretenureBytes = 4096;
-    static constexpr std::uint64_t kMinNursery = 32 * 1024;
-
-    Space nursery_;
     FreeListAllocator mature_;
-    std::uint64_t nurseryLimit_ = 0;
-    RememberedSet remset_;
-    bool oom_ = false;
 };
 
 } // namespace jvm

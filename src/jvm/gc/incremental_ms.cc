@@ -5,27 +5,9 @@
 namespace javelin {
 namespace jvm {
 
-namespace {
-
-std::uint64_t
-blockAlignDown(std::uint64_t bytes)
-{
-    return bytes & ~static_cast<std::uint64_t>(
-        FreeListAllocator::kBlockBytes - 1);
-}
-
-} // namespace
-
 IncrementalMSCollector::IncrementalMSCollector(const GcEnv &env)
-    : IncrementalMSCollector(env, Tuning())
-{
-}
-
-IncrementalMSCollector::IncrementalMSCollector(const GcEnv &env,
-                                               const Tuning &tuning)
-    : Collector(env), tuning_(tuning),
-      alloc_(env.heap, Space("incms", env.heap.base(),
-                             blockAlignDown(env.heap.size())))
+    : Collector(env),
+      alloc_(env.heap, Space("incms", env.heap.base(), env.heap.size()))
 {
     gray_.reserve(1024);
 }
@@ -172,7 +154,7 @@ IncrementalMSCollector::allocate(std::uint32_t bytes)
     chargeWork(9, kAllocCode);
 
     if (marking_)
-        step(tuning_.stepObjects);
+        step(kStepObjects);
 
     std::uint32_t traffic = 0;
     Address addr = alloc_.alloc(bytes, &traffic);
@@ -197,7 +179,7 @@ IncrementalMSCollector::allocate(std::uint32_t bytes)
 
     if (!marking_ &&
         static_cast<double>(alloc_.usedBytes()) >
-            tuning_.triggerFraction * static_cast<double>(env_.heap.size()))
+            kTriggerFraction * static_cast<double>(env_.heap.size()))
         startCycle();
 
     return addr;
@@ -239,7 +221,7 @@ IncrementalMSCollector::collect(bool major)
     if (major)
         finishCycle();
     else if (marking_)
-        step(tuning_.stepObjects * 8);
+        step(kStepObjects * 8);
 }
 
 std::uint64_t

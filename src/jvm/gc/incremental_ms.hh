@@ -29,16 +29,7 @@ namespace jvm {
 class IncrementalMSCollector : public Collector
 {
   public:
-    struct Tuning
-    {
-        /** Start marking above this fraction of heap bytes in use. */
-        double triggerFraction = 0.70;
-        /** Objects traced per allocation while marking. */
-        std::uint32_t stepObjects = 4;
-    };
-
     explicit IncrementalMSCollector(const GcEnv &env);
-    IncrementalMSCollector(const GcEnv &env, const Tuning &tuning);
 
     const char *name() const override { return "IncMS"; }
     Address allocate(std::uint32_t bytes) override;
@@ -55,6 +46,11 @@ class IncrementalMSCollector : public Collector
     const FreeListAllocator &allocator() const { return alloc_; }
 
   private:
+    /** Start marking above this fraction of heap bytes in use. */
+    static constexpr double kTriggerFraction = 0.70;
+    /** Objects traced per allocation while marking. */
+    static constexpr std::uint32_t kStepObjects = 4;
+
     void startCycle();
     /** Trace up to n gray objects; finishes the cycle when drained. */
     void step(std::uint32_t n);
@@ -68,7 +64,6 @@ class IncrementalMSCollector : public Collector
     void finishCycle();
     void sweep();
 
-    Tuning tuning_;
     FreeListAllocator alloc_;
     bool marking_ = false;
     std::vector<Address> gray_;

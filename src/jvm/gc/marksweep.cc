@@ -8,10 +8,7 @@ namespace jvm {
 
 MarkSweepCollector::MarkSweepCollector(const GcEnv &env)
     : Collector(env),
-      alloc_(env.heap,
-             Space("ms", env.heap.base(),
-                   env.heap.size() & ~static_cast<std::uint64_t>(
-                       FreeListAllocator::kBlockBytes - 1)))
+      alloc_(env.heap, Space("ms", env.heap.base(), env.heap.size()))
 {
 }
 
