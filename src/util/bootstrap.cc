@@ -12,14 +12,6 @@
 namespace javelin {
 
 double
-BootstrapCi::relativeHalfWidth() const
-{
-    if (point == 0.0)
-        return 0.0;
-    return 0.5 * (hi - lo) / std::abs(point);
-}
-
-double
 meanOf(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -45,15 +37,9 @@ quantileOf(std::vector<double> xs, double q)
     return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
-double
-medianOf(std::vector<double> xs)
-{
-    return quantileOf(std::move(xs), 0.5);
-}
-
 BootstrapCi
-bootstrapCi(const std::vector<double> &xs, const Statistic &stat,
-            std::size_t resamples, double confidence, std::uint64_t seed)
+bootstrapMeanCi(const std::vector<double> &xs, std::size_t resamples,
+                double confidence, std::uint64_t seed)
 {
     JAVELIN_ASSERT(confidence > 0.0 && confidence < 1.0,
                    "confidence must be in (0, 1)");
@@ -65,7 +51,7 @@ bootstrapCi(const std::vector<double> &xs, const Statistic &stat,
             std::numeric_limits<double>::quiet_NaN();
         return ci;
     }
-    ci.point = stat(xs);
+    ci.point = meanOf(xs);
     if (xs.size() < 2 || resamples == 0) {
         ci.lo = ci.hi = ci.point;
         return ci;
@@ -78,21 +64,12 @@ bootstrapCi(const std::vector<double> &xs, const Statistic &stat,
     for (std::size_t r = 0; r < resamples; ++r) {
         for (auto &slot : resample)
             slot = xs[rng.uniformInt(xs.size())];
-        stats.push_back(stat(resample));
+        stats.push_back(meanOf(resample));
     }
     const double alpha = 1.0 - confidence;
     ci.lo = quantileOf(stats, alpha / 2.0);
     ci.hi = quantileOf(std::move(stats), 1.0 - alpha / 2.0);
     return ci;
-}
-
-BootstrapCi
-bootstrapMeanCi(const std::vector<double> &xs, std::size_t resamples,
-                double confidence, std::uint64_t seed)
-{
-    return bootstrapCi(
-        xs, [](const std::vector<double> &v) { return meanOf(v); },
-        resamples, confidence, seed);
 }
 
 double
@@ -153,37 +130,6 @@ mannWhitneyP(const std::vector<double> &a, const std::vector<double> &b)
     const double z = std::max(shifted, 0.0) / std::sqrt(variance);
     const double p = std::erfc(z / std::sqrt(2.0)); // two-sided
     return std::clamp(p, 0.0, 1.0);
-}
-
-double
-permutationP(const std::vector<double> &a, const std::vector<double> &b,
-             std::size_t rounds, std::uint64_t seed)
-{
-    if (a.empty() || b.empty() || rounds == 0)
-        return 1.0;
-    const double observed = std::abs(meanOf(a) - meanOf(b));
-    std::vector<double> pooled;
-    pooled.reserve(a.size() + b.size());
-    pooled.insert(pooled.end(), a.begin(), a.end());
-    pooled.insert(pooled.end(), b.begin(), b.end());
-
-    Rng rng(seed);
-    std::size_t atLeast = 0;
-    std::vector<double> groupA(a.size());
-    for (std::size_t r = 0; r < rounds; ++r) {
-        rng.shuffle(pooled);
-        std::copy(pooled.begin(),
-                  pooled.begin() + static_cast<std::ptrdiff_t>(a.size()),
-                  groupA.begin());
-        std::vector<double> groupB(
-            pooled.begin() + static_cast<std::ptrdiff_t>(a.size()),
-            pooled.end());
-        const double delta = std::abs(meanOf(groupA) - meanOf(groupB));
-        if (delta >= observed - 1e-15 * std::abs(observed))
-            ++atLeast;
-    }
-    return (static_cast<double>(atLeast) + 1.0) /
-           (static_cast<double>(rounds) + 1.0);
 }
 
 } // namespace javelin

@@ -1,27 +1,23 @@
 /**
  * @file
  * Resampling statistics for the energy-regression harness: percentile
- * bootstrap confidence intervals over seed ensembles, and two-sample
- * significance tests (Mann-Whitney rank test, permutation test) used
- * to gate CI on statistically significant regressions instead of fixed
- * thresholds (ROADMAP item 4; Bechet et al., Nyholm et al.).
+ * bootstrap confidence intervals over seed ensembles, and the
+ * Mann-Whitney rank test (ROADMAP item 4; Bechet et al., Nyholm et
+ * al.). The CI gate's permutation test lives in
+ * scripts/compare_ensemble.py.
  *
- * Everything here is deterministic: bootstrap resampling and the
- * Monte-Carlo permutation test draw from a caller-seeded Rng, so a
- * fixed seed list reproduces every interval and p-value bit for bit.
+ * Everything here is deterministic: bootstrap resampling draws from a
+ * caller-seeded Rng, so a fixed seed list reproduces every interval
+ * and p-value bit for bit.
  */
 
 #ifndef JAVELIN_UTIL_BOOTSTRAP_HH
 #define JAVELIN_UTIL_BOOTSTRAP_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace javelin {
-
-/** A statistic reduced over one sample vector (mean, median, ...). */
-using Statistic = std::function<double(const std::vector<double> &)>;
 
 /** Percentile-method bootstrap confidence interval for one statistic. */
 struct BootstrapCi
@@ -34,9 +30,6 @@ struct BootstrapCi
     /** Two-sided confidence level, e.g. 0.95. */
     double confidence = 0.0;
     std::size_t resamples = 0;
-
-    /** Half-width relative to the point estimate (0 when point is 0). */
-    double relativeHalfWidth() const;
 };
 
 /** Arithmetic mean (0 for an empty vector). */
@@ -48,21 +41,13 @@ double meanOf(const std::vector<double> &xs);
  */
 double quantileOf(std::vector<double> xs, double q);
 
-/** Median via quantileOf. */
-double medianOf(std::vector<double> xs);
-
 /**
- * Percentile-method bootstrap CI: resample xs with replacement
- * `resamples` times, evaluate `stat` on each resample, and return the
- * (alpha/2, 1 - alpha/2) percentiles of the resampled statistic.
- * Deterministic for a fixed seed. A sample of size < 2 yields the
- * degenerate interval [point, point].
+ * Percentile-method bootstrap CI of the mean: resample xs with
+ * replacement `resamples` times, take each resample's mean, and return
+ * the (alpha/2, 1 - alpha/2) percentiles of those means. Deterministic
+ * for a fixed seed. A sample of size < 2 yields the degenerate
+ * interval [point, point].
  */
-BootstrapCi bootstrapCi(const std::vector<double> &xs,
-                        const Statistic &stat, std::size_t resamples,
-                        double confidence, std::uint64_t seed);
-
-/** bootstrapCi with the mean as the statistic. */
 BootstrapCi bootstrapMeanCi(const std::vector<double> &xs,
                             std::size_t resamples, double confidence,
                             std::uint64_t seed);
@@ -72,21 +57,10 @@ BootstrapCi bootstrapMeanCi(const std::vector<double> &xs,
  * normal approximation with midranks, tie-corrected variance and a
  * 0.5 continuity correction. Returns 1.0 when either sample is empty
  * or the pooled sample has no variation (all ties). Small ensembles
- * (n around 8 per side) are within the approximation's usual range;
- * permutationP is the exactish alternative.
+ * (n around 8 per side) are within the approximation's usual range.
  */
 double mannWhitneyP(const std::vector<double> &a,
                     const std::vector<double> &b);
-
-/**
- * Two-sided Monte-Carlo permutation test on the difference of means:
- * the fraction of `rounds` random relabelings of the pooled sample
- * whose |mean difference| is at least the observed one, with the +1
- * add-one correction so p is never exactly 0. Deterministic per seed.
- */
-double permutationP(const std::vector<double> &a,
-                    const std::vector<double> &b, std::size_t rounds,
-                    std::uint64_t seed);
 
 } // namespace javelin
 

@@ -1,6 +1,5 @@
 #include "util/random.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -68,14 +67,6 @@ Rng::uniformInt(std::uint64_t bound)
     }
 }
 
-std::int64_t
-Rng::uniformRange(std::int64_t lo, std::int64_t hi)
-{
-    JAVELIN_ASSERT(lo <= hi, "uniformRange requires lo <= hi");
-    return lo + static_cast<std::int64_t>(
-        uniformInt(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 bool
 Rng::bernoulli(double p)
 {
@@ -112,99 +103,6 @@ Rng::normal(double mean, double stddev)
     spareNormal_ = mag * std::sin(2.0 * M_PI * u2);
     hasSpareNormal_ = true;
     return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
-std::uint64_t
-Rng::sizeDraw(double mean, double sigma, std::uint64_t min_value,
-              std::uint64_t max_value)
-{
-    JAVELIN_ASSERT(min_value <= max_value, "sizeDraw bounds inverted");
-    // Log-normal with the requested arithmetic mean: if X ~ LogN(mu, s)
-    // then E[X] = exp(mu + s^2/2), so mu = ln(mean) - s^2/2.
-    const double s = std::max(sigma, 1e-9);
-    const double mu = std::log(std::max(mean, 1.0)) - 0.5 * s * s;
-    const double x = std::exp(normal(mu, s));
-    const auto v = static_cast<std::uint64_t>(std::llround(x));
-    return std::clamp(v, min_value, max_value);
-}
-
-namespace {
-
-/** expm1(t)/t, continuous through t = 0 (limit 1). */
-double
-zipfExpm1Ratio(double t)
-{
-    return std::abs(t) > 1e-8 ? std::expm1(t) / t : 1.0 + t / 2.0;
-}
-
-/** log1p(t)/t, continuous through t = 0 (limit 1). */
-double
-zipfLog1pRatio(double t)
-{
-    return std::abs(t) > 1e-8 ? std::log1p(t) / t : 1.0 - t / 2.0;
-}
-
-/** H(x) = integral of x^-s: (x^(1-s) - 1)/(1-s), stable through s = 1. */
-double
-zipfHIntegral(double x, double s)
-{
-    const double logX = std::log(x);
-    return zipfExpm1Ratio((1.0 - s) * logX) * logX;
-}
-
-/** Inverse of zipfHIntegral. */
-double
-zipfHIntegralInverse(double u, double s)
-{
-    double t = u * (1.0 - s);
-    // Clamp: u at the lower domain edge can round below the pole.
-    if (t < -1.0)
-        t = -1.0;
-    return std::exp(zipfLog1pRatio(t) * u);
-}
-
-} // namespace
-
-std::uint64_t
-Rng::zipf(std::uint64_t n, double s)
-{
-    JAVELIN_ASSERT(n > 0, "zipf needs a positive universe");
-    JAVELIN_ASSERT(s >= 0.0, "zipf skew must be non-negative");
-    if (n == 1)
-        return 0;
-    // Rejection-inversion for the bounded Zipf distribution (Hörmann &
-    // Derflinger 1996, the scheme behind Apache Commons'
-    // RejectionInversionZipfSampler). Invert the continuous envelope
-    // H(x) = integral of x^-s over [0.5, n + 0.5], round to the nearest
-    // rank k, and accept k exactly when u falls inside the area the
-    // discrete mass k^-s claims under the envelope. The earlier code
-    // inverted an envelope but skipped the acceptance test entirely,
-    // which biased the ranks (and never produced rank 0 at all).
-    const double nd = static_cast<double>(n);
-    const double hX1 = zipfHIntegral(1.5, s) - 1.0;
-    const double hN = zipfHIntegral(nd + 0.5, s);
-    // Fast-accept band: |k - x| below this never needs the exact test.
-    const double fastThreshold =
-        2.0 - zipfHIntegralInverse(zipfHIntegral(2.5, s) -
-                                       std::pow(2.0, -s),
-                                   s);
-    for (;;) {
-        const double u = hN + uniform() * (hX1 - hN);
-        const double x = zipfHIntegralInverse(u, s);
-        double k = std::floor(x + 0.5);
-        k = std::clamp(k, 1.0, nd);
-        if (k - x <= fastThreshold ||
-            u >= zipfHIntegral(k + 0.5, s) - std::pow(k, -s)) {
-            // k is 1-based; the public contract is a rank in [0, n).
-            return static_cast<std::uint64_t>(k) - 1;
-        }
-    }
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
 }
 
 } // namespace javelin

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics collectors used throughout the simulator:
- * running mean/min/max/variance (Welford) and fixed-bin histograms.
+ * Running mean/min/max/variance accumulator (Welford) used throughout
+ * the simulator.
  */
 
 #ifndef JAVELIN_UTIL_STATS_HH
@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace javelin {
 
@@ -22,9 +20,6 @@ class RunningStat
   public:
     /** Add one observation. */
     void add(double x);
-
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
 
     /** Reset to the empty state. */
     void reset();
@@ -46,41 +41,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width-bin histogram over [lo, hi) with overflow/underflow bins.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Lower edge of bin i. */
-    double binLow(std::size_t i) const;
-
-    /** Value below which the given fraction of samples fall. */
-    double percentile(double p) const;
-
-    /** Render a short textual summary (for reports and debugging). */
-    std::string summary() const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 } // namespace javelin

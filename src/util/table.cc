@@ -101,20 +101,4 @@ Table::print(std::ostream &os) const
         emitRow(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emitRow = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    emitRow(headers_);
-    for (const auto &row : cells_)
-        emitRow(row);
-}
-
 } // namespace javelin

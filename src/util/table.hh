@@ -1,7 +1,7 @@
 /**
  * @file
  * Simple column-oriented table builder used by the benchmark harness to
- * print paper-style result tables, both human-aligned and as CSV.
+ * print paper-style result tables with aligned columns.
  */
 
 #ifndef JAVELIN_UTIL_TABLE_HH
@@ -51,9 +51,6 @@ class Table
 
     /** Pretty-print with aligned columns. */
     void print(std::ostream &os) const;
-
-    /** Emit machine-readable CSV. */
-    void printCsv(std::ostream &os) const;
 
   private:
     std::vector<std::string> headers_;
