@@ -30,11 +30,6 @@ struct ComponentPowerStats
     {
         return seconds > 0 ? cpuJoules / seconds : 0.0;
     }
-    double
-    avgMemWatts() const
-    {
-        return seconds > 0 ? memJoules / seconds : 0.0;
-    }
 };
 
 /** Per-component performance aggregate from a sampled PerfTrace. */

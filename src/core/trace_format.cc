@@ -260,13 +260,6 @@ decodePerfRecord(const unsigned char *p)
     return s;
 }
 
-std::uint32_t
-recordComponentBit(RecordKind kind, const unsigned char *p)
-{
-    const std::size_t off = kind == RecordKind::Power ? 32 : 8;
-    return 1u << getU32(p + off);
-}
-
 } // namespace tracefmt
 } // namespace core
 } // namespace javelin

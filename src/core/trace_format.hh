@@ -141,9 +141,6 @@ recordTick(const unsigned char *p)
     return getU64(p);
 }
 
-/** Component bit of an encoded record of the given kind. */
-std::uint32_t recordComponentBit(RecordKind kind, const unsigned char *p);
-
 } // namespace tracefmt
 } // namespace core
 } // namespace javelin

@@ -136,7 +136,6 @@ class Jvm : public GcHost
     Interpreter &engine() { return *engine_; }
     Statics &statics() { return statics_; }
     Heap &heap() { return heap_; }
-    ObjectModel &objectModel() { return om_; }
     const JvmConfig &config() const { return config_; }
 
     // GcHost interface.

@@ -33,20 +33,6 @@ ObjectModel::initObject(Address obj, const ClassInfo &cls,
     cpu_.storeBlock(obj + 64, (total_bytes - 1) / 64, 64);
 }
 
-std::uint32_t
-ObjectModel::loadClassId(Address obj)
-{
-    cpu_.load(obj + kClassIdOffset);
-    return heap_.read32(obj + kClassIdOffset);
-}
-
-std::uint32_t
-ObjectModel::loadSize(Address obj)
-{
-    cpu_.load(obj + kSizeOffset);
-    return heap_.read32(obj + kSizeOffset);
-}
-
 void
 ObjectModel::copyObject(Address dst, Address src, std::uint32_t bytes)
 {

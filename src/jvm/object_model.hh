@@ -105,10 +105,6 @@ class ObjectModel
     // a call/return around what is otherwise a few host loads plus the
     // (force-inlined) CpuModel charge.
 
-    /** Load the header word pair (one line access). */
-    std::uint32_t loadClassId(Address obj);
-    std::uint32_t loadSize(Address obj);
-
     std::uint32_t
     loadGcBits(Address obj)
     {

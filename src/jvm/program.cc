@@ -73,15 +73,6 @@ Program::layout()
                    "metadata region overflow: program too large");
 }
 
-std::size_t
-Program::totalCodeSize() const
-{
-    std::size_t n = 0;
-    for (const auto &m : methods)
-        n += m.code.size();
-    return n;
-}
-
 namespace {
 
 class Verifier

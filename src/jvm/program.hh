@@ -135,11 +135,6 @@ struct Program
     {
         return classes.at(id);
     }
-    const MethodInfo &
-    methodOf(MethodId id) const
-    {
-        return methods.at(id);
-    }
 
     /** Assign metadata/bytecode addresses. Must be called once. */
     void layout();
@@ -149,9 +144,6 @@ struct Program
      * class references. Returns a list of error strings (empty = valid).
      */
     std::vector<std::string> verify() const;
-
-    /** Total bytecode instruction count across all methods. */
-    std::size_t totalCodeSize() const;
 };
 
 } // namespace jvm

@@ -84,15 +84,6 @@ class Cache
         std::uint64_t writebacks = 0;
 
         std::uint64_t accesses() const { return reads + writes; }
-        std::uint64_t misses() const { return readMisses + writeMisses; }
-        double
-        missRate() const
-        {
-            const auto a = accesses();
-            return a ? static_cast<double>(misses()) /
-                       static_cast<double>(a)
-                     : 0.0;
-        }
     };
 
     explicit Cache(const Config &config);
@@ -163,7 +154,6 @@ class Cache
 
     const Config &config() const { return config_; }
     const Stats &stats() const { return stats_; }
-    std::uint32_t numSets() const { return numSets_; }
 
   private:
     /**
