@@ -15,6 +15,7 @@
  * Usage: power_trace [benchmark] [heapMB] [outdir]
  * Writes <outdir>/<benchmark>_{power,perf}.csv and the binary
  * <outdir>/<benchmark>.{power,perf}.jtrc they were decoded from.
+ * heapMB is a whole number in [1, 4096]; anything else exits 2.
  */
 
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "core/trace_io.hh"
 #include "core/trace_spool.hh"
 #include "harness/experiment.hh"
+#include "harness/scenario.hh"
 
 using namespace javelin;
 
@@ -31,8 +33,12 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "_213_javac";
-    const std::uint32_t heap =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
+    std::uint32_t heap = 32;
+    if (argc > 2 && !harness::parseHeapArg(argv[2], heap)) {
+        std::cerr << "usage: power_trace [benchmark] [heapMB 1-4096] "
+                     "[outdir]\n";
+        return 2;
+    }
     const std::string outdir = argc > 3 ? argv[3] : ".";
 
     harness::ExperimentConfig cfg;

@@ -6,6 +6,7 @@
  *
  * Usage: quickstart [benchmark] [heapMB] [collector]
  *   e.g. quickstart _213_javac 32 GenCopy
+ * heapMB is a whole number in [1, 4096]; anything else exits 2.
  */
 
 #include <cstdlib>
@@ -14,6 +15,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/scenario.hh"
 
 using namespace javelin;
 
@@ -42,8 +44,12 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "_213_javac";
-    const std::uint32_t heap =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
+    std::uint32_t heap = 32;
+    if (argc > 2 && !harness::parseHeapArg(argv[2], heap)) {
+        std::cerr << "usage: quickstart [benchmark] [heapMB 1-4096] "
+                     "[collector]\n";
+        return 2;
+    }
     const std::string coll = argc > 3 ? argv[3] : "SemiSpace";
 
     harness::ExperimentConfig cfg;

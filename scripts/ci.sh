@@ -167,8 +167,9 @@ echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 # --- never silently parsed into some other number ("1e6" as 1, "-1" as
 # --- 2^32-1, the shard count "-4" as 2^64-4, the seed "-1" as 2^64-1,
 # --- the thermal horizon "-5" as a huge tick count, "abc" and "inf" as
-# --- a study of zero runs) or thrown out of main ("abc"). Each exits
-# --- before any experiment.
+# --- a study of zero runs, the heap "abc" as 0 MB and "-5" as
+# --- 4294967291 MB) or thrown out of main ("abc"). Each exits before
+# --- any experiment.
 expect_usage_error() {
     "$@" > /dev/null 2>&1 && rc=0 || rc=$?
     if [ "$rc" -ne 2 ]; then
@@ -185,6 +186,10 @@ expect_usage_error build/bench/ensemble_report --seeds -1
 expect_usage_error build/examples/thermal_study _222_mpegaudio abc
 expect_usage_error build/examples/thermal_study _222_mpegaudio -5
 expect_usage_error build/examples/thermal_study _222_mpegaudio inf
+expect_usage_error build/examples/quickstart _202_jess abc
+expect_usage_error build/examples/quickstart _202_jess -5
+expect_usage_error build/examples/power_trace _202_jess abc "$TRACE_DIR"
+expect_usage_error build/examples/power_trace _202_jess -5 "$TRACE_DIR"
 echo "argument smoke: malformed counts rejected with exit 2"
 
 # --- sanitizer gate (skippable for quick iteration): the trace

@@ -15,6 +15,8 @@ namespace harness {
 namespace {
 
 constexpr const char *kSchema = "javelin-scenario-v1";
+/** Largest nominal heap a scenario or a command line may ask for. */
+constexpr std::uint64_t kMaxHeapMB = 4096;
 
 const char *
 datasetName(workloads::DatasetScale d)
@@ -99,9 +101,10 @@ std::uint32_t
 parseHeapMB(const json::Value &v)
 {
     const std::uint64_t mb = v.asU64();
-    if (mb < 1 || mb > 4096)
+    if (mb < 1 || mb > kMaxHeapMB)
         failAt(v.line, "heap_mb " + std::to_string(mb) +
-                           " out of range [1, 4096]");
+                           " out of range [1, " +
+                           std::to_string(kMaxHeapMB) + "]");
     return static_cast<std::uint32_t>(mb);
 }
 
@@ -349,6 +352,16 @@ parseScenarioFile(const std::string &path)
     } catch (const ScenarioError &e) {
         throw ScenarioError(path + ": " + e.what());
     }
+}
+
+bool
+parseHeapArg(const char *text, std::uint32_t &mb)
+{
+    std::uint64_t v = 0;
+    if (!SweepRunner::parseCount(text, v) || v < 1 || v > kMaxHeapMB)
+        return false;
+    mb = static_cast<std::uint32_t>(v);
+    return true;
 }
 
 void

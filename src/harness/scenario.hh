@@ -67,6 +67,14 @@ Scenario parseScenario(const std::string &text);
 Scenario parseScenarioFile(const std::string &path);
 
 /**
+ * Parse a nominal heap size in MB given on a command line:
+ * SweepRunner::parseCount's digits within the range a scenario's
+ * heap_mb accepts, [1, 4096]. False on anything else, leaving `mb`
+ * untouched.
+ */
+bool parseHeapArg(const char *text, std::uint32_t &mb);
+
+/**
  * Canonical serialization: every base field written explicitly, axes
  * only when non-empty. parse(write(s)) == s, and write(parse(text))
  * is a fixed normal form of text.

@@ -39,7 +39,6 @@
 
 #include <sys/resource.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -49,10 +48,12 @@
 
 #include "core/trace_io.hh"
 #include "core/trace_spool.hh"
+#include "harness/sweep.hh"
 #include "util/units.hh"
 
 using namespace javelin;
 using namespace javelin::core;
+using javelin::harness::SweepRunner;
 
 namespace {
 
@@ -72,22 +73,6 @@ usage()
            "                            [--crash-after-blocks K] "
            "[--print-rss]\n";
     return 2;
-}
-
-/** Parse a non-negative decimal integer: digits only, no sign, no
- *  trailing characters, no overflow. */
-bool
-parseCount(const char *arg, std::uint64_t &out)
-{
-    if (*arg < '0' || *arg > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
 }
 
 void
@@ -163,11 +148,11 @@ cmdRecord(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--samples" && i + 1 < argc) {
-            if (!parseCount(argv[++i], samples))
+            if (!SweepRunner::parseCount(argv[++i], samples))
                 return usage();
         } else if (arg == "--buffer-bytes" && i + 1 < argc) {
             std::uint64_t bytes = 0;
-            if (!parseCount(argv[++i], bytes))
+            if (!SweepRunner::parseCount(argv[++i], bytes))
                 return usage();
             cfg.bufferBytes = bytes;
         } else if (arg == "--out" && i + 1 < argc) {
@@ -176,7 +161,7 @@ cmdRecord(int argc, char **argv)
             oraclePath = argv[++i];
         } else if (arg == "--crash-after-blocks" && i + 1 < argc) {
             std::uint64_t blocks = 0;
-            if (!parseCount(argv[++i], blocks))
+            if (!SweepRunner::parseCount(argv[++i], blocks))
                 return usage();
             cfg.crashAfterBlocks = blocks;
         } else if (arg == "--print-rss") {
@@ -310,8 +295,8 @@ main(int argc, char **argv)
     }
     if (cmd == "range") {
         Tick from = 0, to = 0;
-        if (argc != 5 || !parseCount(argv[3], from) ||
-            !parseCount(argv[4], to))
+        if (argc != 5 || !SweepRunner::parseCount(argv[3], from) ||
+            !SweepRunner::parseCount(argv[4], to))
             return usage();
         TraceReader reader(path);
         writeCsv(std::cout, reader,
