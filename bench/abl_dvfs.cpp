@@ -5,13 +5,16 @@
  *
  * Sweeps the Pentium M operating points for a compute-bound benchmark
  * (_222_mpegaudio) and a GC-bound one (_213_javac at 32 MB): energy
- * falls with V^2 while runtime stretches with 1/f, so the EDP optimum
- * sits at an intermediate point — further down for memory-bound work,
- * whose stall time does not scale with the core clock.
+ * falls with V^2 while runtime stretches with 1/f. Which of the two
+ * wins the energy-delay product is what the sweep measures, so the
+ * closing line names each benchmark's minimum-EDP point from its
+ * table rather than asserting one.
  */
 
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
@@ -65,13 +68,23 @@ main(int argc, char **argv)
         return 1;
 
     std::size_t taskIdx = 0;
+    std::ostringstream lowest;
+    lowest << std::fixed;
     for (const auto &name : names) {
         Table t({"point", "freq(GHz)", "volts", "time(ms)", "energy(J)",
                  "EDP(mJ*s)"});
+        std::size_t best = 0;
+        double bestEdp = 0.0;
+        bool any = false;
         for (std::size_t i = 0; i < spec.dvfsPoints.size(); ++i) {
             const auto &res = results[taskIdx++];
             if (!res.ok())
                 continue;
+            if (!any || res.edp() < bestEdp) {
+                best = i;
+                bestEdp = res.edp();
+                any = true;
+            }
             t.beginRow();
             t.cell(static_cast<std::int64_t>(i));
             t.cell(spec.dvfsPoints[i].freqHz / 1e9, 1);
@@ -83,9 +96,12 @@ main(int argc, char **argv)
         std::cout << name << ":\n";
         t.print(std::cout);
         std::cout << "\n";
+        if (any)
+            lowest << (lowest.tellp() > 0 ? ", " : "") << name
+                   << " at point " << best << " (" << std::setprecision(1)
+                   << spec.dvfsPoints[best].freqHz / 1e9 << " GHz, "
+                   << std::setprecision(3) << bestEdp * 1e3 << " mJ*s)";
     }
-    std::cout << "Energy falls monotonically with the operating point; "
-                 "EDP favours mid-range points, more so for the "
-                 "memory-bound benchmark.\n";
+    std::cout << "Lowest EDP: " << lowest.str() << ".\n";
     return 0;
 }
