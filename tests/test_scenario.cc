@@ -203,6 +203,21 @@ TEST(Scenario, OutOfRangeValuesRejected)
     expectRejected(doc("{\"dataset\": \"Huge\"}"), "unknown dataset");
 }
 
+/** A command-line heap accepts exactly the range a scenario's heap_mb
+ *  does, in parseCount's digits-only form. */
+TEST(Scenario, HeapArgUsesTheHeapMbRange)
+{
+    std::uint32_t mb = 7;
+    EXPECT_TRUE(parseHeapArg("1", mb));
+    EXPECT_EQ(mb, 1u);
+    EXPECT_TRUE(parseHeapArg("4096", mb));
+    EXPECT_EQ(mb, 4096u);
+    for (const char *bad : {"", "0", "4097", "abc", "-5", " 32", "32MB",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseHeapArg(bad, mb)) << bad;
+    EXPECT_EQ(mb, 4096u) << "a rejected parse must not write";
+}
+
 TEST(Scenario, StructuralErrorsRejected)
 {
     expectRejected("[]\n", "must be a JSON object");
