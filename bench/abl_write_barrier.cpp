@@ -20,6 +20,7 @@
 #include <sstream>
 
 #include "harness/experiment.hh"
+#include "harness/report.hh"
 #include "harness/sweep.hh"
 #include "util/table.hh"
 
@@ -53,6 +54,8 @@ main()
         }
     }
     const auto results = SweepRunner().run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
     const std::size_t direct = 2 * names.size();
     const auto overhead = [](const ExperimentResult &with,
                              const ExperimentResult &without) {

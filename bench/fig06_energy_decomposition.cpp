@@ -47,6 +47,8 @@ main()
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig06 sweep");
     const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     for (const auto &res : results) {
         const auto &bench = workloads::benchmark(res.benchmark);

@@ -39,6 +39,8 @@ main()
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig10 sweep");
     const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     std::vector<std::vector<ExperimentResult>> rows;
     RunningStat flatness; // max/min EDP ratio per benchmark

@@ -44,6 +44,8 @@ main()
     SweepRunner::Config rc;
     rc.progress = consoleProgress("fig11 sweep");
     const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     for (const auto &res : results) {
         rows.push_back(res);

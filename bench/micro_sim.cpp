@@ -95,8 +95,8 @@ BM_EndToEndExperiment(benchmark::State &state)
         state.counters["bytecodes"] =
             static_cast<double>(res.run.bytecodesExecuted);
     }
-    // Host-side simulation throughput: the perf-trajectory metric that
-    // scripts/ci.sh compares against the committed BENCH_sim.json.
+    // Host-side simulation throughput, compared pair by pair against
+    // the base revision by scripts/ab.py.
     state.counters["bytecodes_per_sec"] =
         benchmark::Counter(static_cast<double>(total_bytecodes),
                            benchmark::Counter::kIsRate);
@@ -119,39 +119,6 @@ BM_EndToEndCallHeavy(benchmark::State &state)
         cfg.heapNominalMB = 32;
         const auto res = harness::runExperiment(
             cfg, workloads::benchmark("call_heavy"));
-        benchmark::DoNotOptimize(res.run.returnValue);
-        total_bytecodes += res.run.bytecodesExecuted;
-        state.counters["gc_count"] =
-            static_cast<double>(res.run.gc.collections);
-        state.counters["bytecodes"] =
-            static_cast<double>(res.run.bytecodesExecuted);
-    }
-    state.counters["bytecodes_per_sec"] =
-        benchmark::Counter(static_cast<double>(total_bytecodes),
-                           benchmark::Counter::kIsRate);
-}
-
-void
-BM_EndToEndGcHeavy(benchmark::State &state)
-{
-    // GC-dominated pipeline: pmd's big live set (14 MB nominal) under
-    // SemiSpace at the tightest paper heap (32 MB nominal, 2 MB
-    // scaled; each semispace ~1 MB over a ~0.9 MB live graph) forces a
-    // full-heap copying collection every few hundred KB of allocation,
-    // so host time concentrates in the GC fast paths (marker/evacuator
-    // drain, copy, sweep). Full dataset keeps the live set
-    // paper-proportioned.
-    // The bytecodes counter guards against silent OOM truncation: a
-    // config that runs out of heap finishes early with far fewer
-    // bytecodes and would otherwise look "faster".
-    std::uint64_t total_bytecodes = 0;
-    for (auto _ : state) {
-        harness::ExperimentConfig cfg;
-        cfg.dataset = workloads::DatasetScale::Full;
-        cfg.heapNominalMB = 32;
-        cfg.collector = jvm::CollectorKind::SemiSpace;
-        const auto res = harness::runExperiment(
-            cfg, workloads::benchmark("pmd"));
         benchmark::DoNotOptimize(res.run.returnValue);
         total_bytecodes += res.run.bytecodesExecuted;
         state.counters["gc_count"] =
@@ -194,45 +161,12 @@ BM_EndToEndMutatorHeavy(benchmark::State &state)
                            benchmark::Counter::kIsRate);
 }
 
-void
-BM_EndToEndMultiTenant(benchmark::State &state)
-{
-    // Co-tenancy pipeline (DESIGN.md §11): two tenants interleaved at
-    // quantum granularity on one platform, each serving Poisson
-    // request traffic. Exercises the slice scheduler, the shared-port
-    // per-tenant attribution and the arrival machinery on top of the
-    // classic stack; the context_switches counter makes scheduler-
-    // cadence drift visible alongside host throughput.
-    std::uint64_t total_bytecodes = 0;
-    for (auto _ : state) {
-        harness::ExperimentConfig cfg;
-        cfg.dataset = workloads::DatasetScale::Small;
-        cfg.heapNominalMB = 32;
-        cfg.tenants = 2;
-        cfg.requestsPerTenant = 12;
-        cfg.requestRateHz = 3000.0;
-        const auto res = harness::runExperiment(
-            cfg, workloads::benchmark("_202_jess"));
-        benchmark::DoNotOptimize(res.cotenancy.platformCpuJoules);
-        total_bytecodes += res.run.bytecodesExecuted;
-        state.counters["context_switches"] =
-            static_cast<double>(res.cotenancy.contextSwitches);
-        state.counters["bytecodes"] =
-            static_cast<double>(res.run.bytecodesExecuted);
-    }
-    state.counters["bytecodes_per_sec"] =
-        benchmark::Counter(static_cast<double>(total_bytecodes),
-                           benchmark::Counter::kIsRate);
-}
-
 } // namespace
 
 BENCHMARK(BM_CacheAccess)->Arg(14)->Arg(18)->Arg(24);
 BENCHMARK(BM_InterpreterDispatch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEndExperiment)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEndCallHeavy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EndToEndGcHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EndToEndMutatorHeavy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EndToEndMultiTenant)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

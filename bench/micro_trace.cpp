@@ -8,10 +8,10 @@
  * items_per_second is the gate metric — capture must stay cheap
  * enough that a 40 µs-period DAQ never notices it.
  *
- * BM_EndToEndExperimentSpooled re-runs the CI's end-to-end throughput
- * floor with both spools attached, so "spooling is free at the
- * experiment level" is a measured, regression-gated claim
- * (scripts/ci.sh, bench/BENCH_trace.baseline.json).
+ * BM_EndToEndExperimentSpooled is BM_EndToEndExperiment with both
+ * spools attached, so "spooling is free at the experiment level" is a
+ * measured claim, gated against the base revision by scripts/ab.py
+ * (bench/perf_gates.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -67,8 +67,7 @@ BM_TraceCapture(benchmark::State &state)
 void
 BM_EndToEndExperimentSpooled(benchmark::State &state)
 {
-    // The CI end-to-end pipeline with power + perf spooling enabled:
-    // same floor (>= 50M bytecodes/s) must hold with capture on.
+    // BM_EndToEndExperiment's pipeline with power + perf spooling on.
     std::uint64_t total_bytecodes = 0;
     for (auto _ : state) {
         harness::ExperimentConfig cfg;

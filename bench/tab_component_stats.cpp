@@ -51,6 +51,8 @@ main()
     harness::SweepRunner::Config rc;
     rc.progress = harness::consoleProgress("tab sweep");
     const auto results = harness::SweepRunner(rc).run(tasks);
+    if (harness::reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     const std::size_t perCollector = benches.size() * 2;
     std::size_t taskIdx = 0;

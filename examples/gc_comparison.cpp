@@ -48,6 +48,8 @@ main(int argc, char **argv)
     SweepRunner::Config rc;
     rc.progress = consoleProgress("gc comparison");
     const auto results = SweepRunner(rc).run(tasks);
+    if (reportSweepFailures(std::cerr, tasks, results) > 0)
+        return 1;
 
     std::vector<std::vector<ExperimentResult>> rows;
     double bestEdp = 1e300;

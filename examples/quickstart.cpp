@@ -77,9 +77,14 @@ main(int argc, char **argv)
         const auto &perf = res.attribution.perfOf(c);
         std::cout << "  " << core::componentName(c) << ": "
                   << p.cpuJoules << " J, avg " << p.avgCpuWatts()
-                  << " W, peak " << p.peakCpuWatts << " W, IPC "
-                  << perf.ipc() << ", L2 miss "
-                  << perf.l2MissRate() * 100 << "%\n";
+                  << " W, peak " << p.peakCpuWatts << " W, ";
+        // No HPM sample fell in this component: nothing was measured,
+        // and PerfCounters' empty-block 0.0 would read as a measured 0.
+        if (perf.samples == 0)
+            std::cout << "IPC n/a, L2 miss n/a\n";
+        else
+            std::cout << "IPC " << perf.ipc() << ", L2 miss "
+                      << perf.l2MissRate() * 100 << "%\n";
     }
     return 0;
 }

@@ -40,7 +40,6 @@ struct ComponentPerfStats
 
     double ipc() const { return counters.ipc(); }
     double l2MissRate() const { return counters.l2MissRate(); }
-    double l1dMissRate() const { return counters.l1dMissRate(); }
 };
 
 /**

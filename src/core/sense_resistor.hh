@@ -43,8 +43,6 @@ class SenseResistor
     /** Convenience: measured power = measured amps * rail volts. */
     double measureWatts(double true_watts, double rail_volts);
 
-    const Config &config() const { return config_; }
-
   private:
     Config config_;
     Rng rng_;

@@ -103,8 +103,6 @@ class EnsembleRunner
     {
     }
 
-    const EnsembleConfig &config() const { return config_; }
-
     /**
      * Run every cell over the full seed ensemble (cells.size() *
      * seeds.size() experiments, fanned out with the SweepRunner worker

@@ -62,8 +62,6 @@ class ClassLoader
 
     std::uint32_t classesLoaded() const { return loadedCount_; }
 
-    const Config &config() const { return config_; }
-
   private:
     void loadOne(ClassId id);
 

@@ -31,7 +31,6 @@ Marker::processRef(Address ref)
     if (bits & kMarkBit)
         return;
     om.storeGcBits(ref, bits | kMarkBit);
-    ++marked_;
     ++stats_.objectsMarked;
     stack_.push_back(ref);
     costs_.charge(env_.system.cpu(), kSpecMarkObject, 1);
@@ -98,7 +97,6 @@ Marker::drainFast()
                 goto next_child;
             cpu.store(child + kGcBitsOffset);
             heap.write32(child + kGcBitsOffset, bits | kMarkBit);
-            ++marked_;
             ++stats_.objectsMarked;
             stack_.push_back(child);
             costs_.charge(cpu, kSpecMarkObject, 1);

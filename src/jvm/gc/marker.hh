@@ -46,8 +46,6 @@ class Marker
     /** Drain the mark stack. */
     void drain();
 
-    std::uint64_t marked() const { return marked_; }
-
   private:
     void drainFast();
     void drainReference();
@@ -57,7 +55,6 @@ class Marker
     Collector::Stats &stats_;
     std::vector<Address> stack_;
     std::vector<Address> children_;
-    std::uint64_t marked_ = 0;
 };
 
 } // namespace jvm

@@ -30,10 +30,6 @@ class SemiSpaceCollector : public Collector
     void collect(bool major) override;
     std::uint64_t heapUsed() const override { return active_.used(); }
 
-    /** Active (allocation) half, for tests. */
-    const Space &activeSpace() const { return active_; }
-    const Space &idleSpace() const { return idle_; }
-
   private:
     Space active_;
     Space idle_;

@@ -60,13 +60,5 @@ PerfCounters::l2MissRate() const
                       : 0.0;
 }
 
-double
-PerfCounters::l1dMissRate() const
-{
-    return l1dAccesses ? static_cast<double>(l1dMisses) /
-                         static_cast<double>(l1dAccesses)
-                       : 0.0;
-}
-
 } // namespace sim
 } // namespace javelin

@@ -48,9 +48,6 @@ struct PerfCounters
 
     /** L2 miss rate (misses / accesses) over this delta block. */
     double l2MissRate() const;
-
-    /** L1D miss rate over this delta block. */
-    double l1dMissRate() const;
 };
 
 } // namespace sim

@@ -59,10 +59,6 @@ class Value
     /** Object members in insertion order (duplicates rejected). */
     std::vector<std::pair<std::string, Value>> members;
 
-    bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
     bool isArray() const { return kind == Kind::Array; }
     bool isObject() const { return kind == Kind::Object; }
 

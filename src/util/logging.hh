@@ -33,7 +33,6 @@ concat(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -51,10 +50,6 @@ void informImpl(const std::string &msg);
 #define JAVELIN_WARN(...) \
     ::javelin::detail::warnImpl(__FILE__, __LINE__, \
                                 ::javelin::detail::concat(__VA_ARGS__))
-
-/** Print a normal operating status message. */
-#define JAVELIN_INFORM(...) \
-    ::javelin::detail::informImpl(::javelin::detail::concat(__VA_ARGS__))
 
 /** Panic unless a condition holds. */
 #define JAVELIN_ASSERT(cond, ...) \

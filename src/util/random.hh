@@ -12,7 +12,6 @@
 #define JAVELIN_UTIL_RANDOM_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace javelin {
 
@@ -42,17 +41,6 @@ class Rng
 
     /** Normally distributed value (Box-Muller). */
     double normal(double mean, double stddev);
-
-    /** Fisher-Yates shuffle of a vector. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        for (std::size_t i = v.size(); i > 1; --i) {
-            std::size_t j = uniformInt(i);
-            std::swap(v[i - 1], v[j]);
-        }
-    }
 
   private:
     std::uint64_t s_[4];

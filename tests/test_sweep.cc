@@ -9,9 +9,12 @@
 
 #include <cstdlib>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "harness/report.hh"
+#include "harness/scenario.hh"
 #include "harness/sweep.hh"
 
 using namespace javelin;
@@ -130,6 +133,36 @@ TEST(SweepRunner, ExceptionCapturedPerTask)
     EXPECT_EQ(results[1].config.heapNominalMB, 1u);
     EXPECT_EQ(results[1].config.seed,
               SweepRunner::taskSeed(tasks[1].config.seed, 1));
+}
+
+TEST(SweepRunner, ReportSweepFailuresListsOnlyHarnessFailures)
+{
+    std::vector<SweepTask> tasks(4);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        tasks[i].config.heapNominalMB = 32 + i;
+        tasks[i].profile.name = "task" + std::to_string(i);
+    }
+    SweepRunner::Config cfg;
+    cfg.jobs = 2;
+    cfg.execute = [](const SweepTask &task) {
+        if (task.config.heapNominalMB == 34)
+            throw std::runtime_error("injected failure");
+        ExperimentResult res;
+        res.config = task.config;
+        res.run.outOfMemory = task.config.heapNominalMB == 33;
+        return res;
+    };
+    const auto results = SweepRunner(cfg).run(tasks);
+    ASSERT_EQ(results.size(), 4u);
+    // The out-of-memory run is a result ("did not fit"), not a failure.
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_FALSE(results[1].failed);
+
+    std::ostringstream os;
+    EXPECT_EQ(reportSweepFailures(os, tasks, results), 1u);
+    EXPECT_EQ(os.str(), "sweep failure: shard 2 [" + shardKey(tasks[2]) +
+                            "]: injected failure\n");
+    EXPECT_EQ(os.str().find("task1"), std::string::npos);
 }
 
 TEST(SweepRunner, RunTaskNeverThrows)
