@@ -11,7 +11,6 @@
  * table rather than asserting one.
  */
 
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -29,27 +28,17 @@ int
 main(int argc, char **argv)
 {
     // Declarative sweep: the builtin "abl-dvfs" scenario is the matrix
-    // (pinned as tests/fixtures/abl_dvfs.scenario.json); --scenario-out
-    // exports it for javelin-sweep.
+    // (pinned as tests/fixtures/abl_dvfs.scenario.json; `javelin-sweep
+    // --builtin abl-dvfs --print-scenario` prints it).
     const Scenario scenario = builtinScenario("abl-dvfs");
     std::string traceDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
         if (arg == "--trace-dir" && i + 1 < argc) {
             traceDir = argv[++i];
             continue;
         }
-        std::cerr << "usage: abl_dvfs [--scenario-out FILE] "
-                     "[--trace-dir DIR]\n";
+        std::cerr << "usage: abl_dvfs [--trace-dir DIR]\n";
         return 2;
     }
 

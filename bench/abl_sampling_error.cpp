@@ -95,7 +95,8 @@ perturbationCi(const EnsembleCellResult &variant,
     return bootstrapMeanCi(rel, ecfg.resamples, kEnsembleConfidence, seed);
 }
 
-void
+/** Part B and C; false (after listing them) if a member failed. */
+bool
 perturbationStudy()
 {
     std::cout << "\n=== A1 part B: HPM sampler self-perturbation vs "
@@ -146,6 +147,8 @@ perturbationStudy()
     }
 
     const auto results = EnsembleRunner(ecfg).run(cells);
+    if (reportEnsembleFailures(std::cerr, results) > 0)
+        return false;
 
     Table t({"period(us)", "direct dE/E", "ci", "with JIT dE/E", "ci",
              "signif"});
@@ -204,6 +207,7 @@ perturbationStudy()
             std::cout << " " << us << " us";
         std::cout << ".\n";
     }
+    return true;
 }
 
 } // namespace
@@ -277,6 +281,5 @@ main()
     else
         std::cout << "no period passes 2%.\n";
 
-    perturbationStudy();
-    return 0;
+    return perturbationStudy() ? 0 : 1;
 }

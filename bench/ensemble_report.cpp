@@ -13,7 +13,10 @@
  *
  * after any *intentional* model change, and say so in the commit (the
  * same protocol as the golden runs). The report is deterministic for a
- * fixed seed list at any JAVELIN_JOBS setting.
+ * fixed seed list at any JAVELIN_JOBS setting. A cell with a failed
+ * member is listed on stderr and nothing is written (exit 1); the
+ * builtin scenario's JSON is `javelin-sweep --builtin
+ * ensemble-regression --print-scenario`.
  */
 
 #include <fstream>
@@ -31,9 +34,7 @@ int
 usage()
 {
     std::cerr << "usage: ensemble_report [--out FILE] "
-                 "[--seeds 1,2,...] [--quick]\n"
-                 "                       [--scenario FILE] "
-                 "[--scenario-out FILE]\n";
+                 "[--seeds 1,2,...] [--scenario FILE]\n";
     return 2;
 }
 
@@ -65,9 +66,7 @@ main(int argc, char **argv)
 {
     std::string outPath;
     std::string scenarioPath;
-    std::string scenarioOutPath;
     EnsembleConfig cfg;
-    bool quick = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out" && i + 1 < argc) {
@@ -78,23 +77,16 @@ main(int argc, char **argv)
                              "comma-separated non-negative integers)\n";
                 return usage();
             }
-        } else if (arg == "--quick") {
-            quick = true;
         } else if (arg == "--scenario" && i + 1 < argc) {
             scenarioPath = argv[++i];
-        } else if (arg == "--scenario-out" && i + 1 < argc) {
-            scenarioOutPath = argv[++i];
         } else {
             return usage();
         }
     }
-    if (quick)
-        cfg.seeds.resize(std::min<std::size_t>(cfg.seeds.size(), 3));
 
     // The regression matrix is data: the builtin "ensemble-regression"
     // scenario (pinned as tests/fixtures/ensemble_regression.scenario
-    // .json), or any scenario file passed with --scenario. The quick
-    // mode prunes the matrix to its GC-bound corner.
+    // .json), or any scenario file passed with --scenario.
     Scenario scenario;
     try {
         scenario = scenarioPath.empty()
@@ -104,31 +96,14 @@ main(int argc, char **argv)
         std::cerr << "ensemble_report: " << e.what() << "\n";
         return 2;
     }
-    if (quick && scenarioPath.empty()) {
-        scenario.benchmarks = {"_202_jess"};
-        scenario.collectors = {jvm::CollectorKind::SemiSpace};
-    }
-    if (!scenarioOutPath.empty()) {
-        std::ofstream out(scenarioOutPath);
-        if (!out) {
-            std::cerr << "ensemble_report: cannot open "
-                      << scenarioOutPath << "\n";
-            return 1;
-        }
-        writeScenario(out, scenario);
-        return 0;
-    }
 
     cfg.progress = consoleProgress("ensemble");
     const auto cells = expandScenario(scenario);
     const auto results = EnsembleRunner(cfg).run(cells);
+    if (reportEnsembleFailures(std::cerr, results) > 0)
+        return 1;
 
     for (const auto &cell : results) {
-        if (cell.failures > 0)
-            std::cerr << "warning: " << cell.key << ": "
-                      << cell.failures
-                      << " failed ensemble member(s), first: "
-                      << cell.firstError << "\n";
         const auto *total = cell.metric("total_joules");
         std::cerr << cell.key << ": total "
                   << total->ci.point << " J  [" << total->ci.lo << ", "

@@ -12,7 +12,6 @@
  * 48 MB (56%/50%/27% for javac/mtrt/euler) where GenCopy barely moves.
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "core/energy_accounting.hh"
@@ -28,27 +27,18 @@ int
 main(int argc, char **argv)
 {
     // The sweep is data, not code: the builtin "fig07-edp" scenario is
-    // the matrix, --scenario-out exports it for javelin-sweep (the
-    // committed copy is tests/fixtures/fig07_edp.scenario.json).
+    // the matrix (the committed copy is
+    // tests/fixtures/fig07_edp.scenario.json; `javelin-sweep --builtin
+    // fig07-edp --print-scenario` prints it).
     Scenario scenario = builtinScenario("fig07-edp");
     std::string traceDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
         if (arg == "--trace-dir" && i + 1 < argc) {
             traceDir = argv[++i];
             continue;
         }
-        std::cerr << "usage: fig07_edp_collectors [--scenario-out "
-                     "FILE] [--trace-dir DIR]\n";
+        std::cerr << "usage: fig07_edp_collectors [--trace-dir DIR]\n";
         return 2;
     }
 

@@ -16,7 +16,6 @@
  *    model totals are printed alongside).
  */
 
-#include <fstream>
 #include <iostream>
 
 #include "harness/experiment.hh"
@@ -28,24 +27,13 @@ using namespace javelin;
 using namespace javelin::harness;
 
 int
-main(int argc, char **argv)
+main(int argc, char **)
 {
-    Scenario scenario = builtinScenario("cotenancy-interference");
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--scenario-out" && i + 1 < argc) {
-            std::ofstream out(argv[++i]);
-            if (!out) {
-                std::cerr << "cannot open " << argv[i] << "\n";
-                return 1;
-            }
-            writeScenario(out, scenario);
-            return 0;
-        }
-        std::cerr << "usage: fig_cotenancy_interference "
-                     "[--scenario-out FILE]\n";
+    if (argc > 1) {
+        std::cerr << "usage: fig_cotenancy_interference\n";
         return 2;
     }
+    Scenario scenario = builtinScenario("cotenancy-interference");
 
     const auto tasks = expandScenario(scenario);
     SweepRunner::Config rc;

@@ -16,9 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <string>
-
+#include "../tests/scratch_dir.hh"
 #include "core/trace_spool.hh"
 #include "harness/experiment.hh"
 #include "workloads/suite.hh"
@@ -40,19 +38,13 @@ synthSample(std::uint64_t i)
     return s;
 }
 
-std::string
-scratchPath(const char *name)
-{
-    return std::string("/tmp/javelin_bench_") + name + ".jtrc";
-}
-
 void
 BM_TraceCapture(benchmark::State &state)
 {
-    // Per-sample spool append; full blocks are written to /tmp inside
-    // the timed loop.
+    // Per-sample spool append; full blocks are written to the scratch
+    // directory inside the timed loop.
     core::TraceSpool::Config cfg;
-    cfg.path = scratchPath("capture");
+    cfg.path = (scratchDir("capture") / "capture.jtrc").string();
     core::TraceSpool spool(cfg);
     std::uint64_t i = 0;
     for (auto _ : state)
@@ -61,7 +53,6 @@ BM_TraceCapture(benchmark::State &state)
     state.counters["samples_per_sec"] = benchmark::Counter(
         static_cast<double>(i), benchmark::Counter::kIsRate);
     spool.close();
-    std::remove(cfg.path.c_str());
 }
 
 void
@@ -69,11 +60,12 @@ BM_EndToEndExperimentSpooled(benchmark::State &state)
 {
     // BM_EndToEndExperiment's pipeline with power + perf spooling on.
     std::uint64_t total_bytecodes = 0;
+    const std::string spoolDir = scratchDir("spooled").string();
     for (auto _ : state) {
         harness::ExperimentConfig cfg;
         cfg.dataset = workloads::DatasetScale::Small;
         cfg.heapNominalMB = 32;
-        cfg.traceSpoolDir = "/tmp/javelin_bench_spooldir";
+        cfg.traceSpoolDir = spoolDir;
         const auto res = harness::runExperiment(
             cfg, workloads::benchmark("_202_jess"));
         benchmark::DoNotOptimize(res.run.returnValue);

@@ -7,9 +7,11 @@
  * component) when the platform changes.
  *
  * Usage: embedded_profile [benchmark]
+ * An unknown benchmark exits 2.
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -51,7 +53,7 @@ describe(const char *label, const ExperimentResult &res, double unit)
 
 int
 main(int argc, char **argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "_213_javac";
     const auto &bench = workloads::benchmark(name);
 
@@ -86,4 +88,8 @@ main(int argc, char **argv)
                      "embedded JVMs)\n";
     }
     return 0;
+} catch (const std::invalid_argument &e) {
+    std::cerr << "embedded_profile: " << e.what()
+              << "\nusage: embedded_profile [benchmark]\n";
+    return 2;
 }

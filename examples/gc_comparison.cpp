@@ -6,9 +6,11 @@
  * javelin to choose a collector for a deployment.
  *
  * Usage: gc_comparison [benchmark]
+ * An unknown benchmark exits 2.
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/energy_accounting.hh"
@@ -21,7 +23,7 @@ using namespace javelin::harness;
 
 int
 main(int argc, char **argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "_209_db";
     const auto &bench = workloads::benchmark(name);
 
@@ -87,4 +89,8 @@ main(int argc, char **argv)
     }
     std::cout << "\nbest energy-delay product: " << best << "\n";
     return 0;
+} catch (const std::invalid_argument &e) {
+    std::cerr << "gc_comparison: " << e.what()
+              << "\nusage: gc_comparison [benchmark]\n";
+    return 2;
 }

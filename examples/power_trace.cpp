@@ -15,11 +15,14 @@
  * Usage: power_trace [benchmark] [heapMB] [outdir]
  * Writes <outdir>/<benchmark>_{power,perf}.csv and the binary
  * <outdir>/<benchmark>.{power,perf}.jtrc they were decoded from.
- * heapMB is a whole number in [1, 4096]; anything else exits 2.
+ * heapMB is a whole number in [1, 4096]; anything else, or an unknown
+ * benchmark, exits 2. A trace that cannot be written or read back
+ * exits 1 with its error.
  */
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/trace_io.hh"
@@ -29,14 +32,17 @@
 
 using namespace javelin;
 
+constexpr const char *kUsage =
+    "usage: power_trace [benchmark] [heapMB 1-4096] [outdir]\n";
+
 int
 main(int argc, char **argv)
-{
+try {
     const std::string bench = argc > 1 ? argv[1] : "_213_javac";
+    const auto &profile = workloads::benchmark(bench);
     std::uint32_t heap = 32;
     if (argc > 2 && !harness::parseHeapArg(argv[2], heap)) {
-        std::cerr << "usage: power_trace [benchmark] [heapMB 1-4096] "
-                     "[outdir]\n";
+        std::cerr << kUsage;
         return 2;
     }
     const std::string outdir = argc > 3 ? argv[3] : ".";
@@ -48,7 +54,7 @@ main(int argc, char **argv)
 
     std::cout << "running " << bench << " (heap " << heap
               << " MB nominal)...\n";
-    const auto res = harness::runExperiment(cfg, workloads::benchmark(bench));
+    const auto res = harness::runExperiment(cfg, profile);
     if (res.run.outOfMemory) {
         std::cerr << "out of memory\n";
         return 1;
@@ -72,4 +78,10 @@ main(int argc, char **argv)
               << res.run.gc.collections << " GCs, "
               << res.attribution.totalCpuJoules << " J measured\n";
     return 0;
+} catch (const std::invalid_argument &e) {
+    std::cerr << "power_trace: " << e.what() << "\n" << kUsage;
+    return 2;
+} catch (const std::exception &e) {
+    std::cerr << "power_trace: " << e.what() << "\n";
+    return 1;
 }

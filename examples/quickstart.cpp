@@ -6,11 +6,12 @@
  *
  * Usage: quickstart [benchmark] [heapMB] [collector]
  *   e.g. quickstart _213_javac 32 GenCopy
- * heapMB is a whole number in [1, 4096]; anything else exits 2.
+ * heapMB is a whole number in [1, 4096]; anything else, or an unknown
+ * benchmark or collector, exits 2.
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -20,6 +21,9 @@
 using namespace javelin;
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: quickstart [benchmark] [heapMB 1-4096] [collector]\n";
 
 jvm::CollectorKind
 parseCollector(const std::string &name)
@@ -34,20 +38,19 @@ parseCollector(const std::string &name)
         return jvm::CollectorKind::GenMS;
     if (name == "IncMS")
         return jvm::CollectorKind::IncrementalMS;
-    std::cerr << "unknown collector " << name << "\n";
-    std::exit(1);
+    throw std::invalid_argument("unknown collector: " + name);
 }
 
 } // namespace
 
 int
 main(int argc, char **argv)
-{
+try {
     const std::string bench = argc > 1 ? argv[1] : "_213_javac";
+    const auto &profile = workloads::benchmark(bench);
     std::uint32_t heap = 32;
     if (argc > 2 && !harness::parseHeapArg(argv[2], heap)) {
-        std::cerr << "usage: quickstart [benchmark] [heapMB 1-4096] "
-                     "[collector]\n";
+        std::cerr << kUsage;
         return 2;
     }
     const std::string coll = argc > 3 ? argv[3] : "SemiSpace";
@@ -60,8 +63,7 @@ main(int argc, char **argv)
 
     std::cout << "running " << bench << " (heap " << heap << " MB, "
               << coll << ", Jikes RVM on P6)...\n";
-    const auto res =
-        harness::runExperiment(cfg, workloads::benchmark(bench));
+    const auto res = harness::runExperiment(cfg, profile);
 
     harness::printRunSummary(std::cout, res);
     if (!res.ok())
@@ -87,4 +89,7 @@ main(int argc, char **argv)
                       << perf.l2MissRate() * 100 << "%\n";
     }
     return 0;
+} catch (const std::invalid_argument &e) {
+    std::cerr << "quickstart: " << e.what() << "\n" << kUsage;
+    return 2;
 }

@@ -9,6 +9,8 @@
  * by side afterwards.
  *
  * Usage: thermal_study [benchmark] [paper-seconds]
+ * An unknown benchmark, or a horizon that is not a positive decimal,
+ * exits 2.
  */
 
 #include <cmath>
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -25,6 +28,9 @@ using namespace javelin;
 using namespace javelin::harness;
 
 namespace {
+
+constexpr const char *kUsage =
+    "usage: thermal_study [benchmark] [paper-seconds]\n";
 
 /** Print one row per this many 500 us timeline samples (2 ms). */
 constexpr std::size_t kRowEvery = 4;
@@ -74,11 +80,12 @@ parseHorizon(const char *text, double &out)
 
 int
 main(int argc, char **argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "_222_mpegaudio";
+    workloads::benchmark(name); // checked here: pool workers cannot throw
     double horizonPaperS = 200.0;
     if (argc > 3 || (argc > 2 && !parseHorizon(argv[2], horizonPaperS))) {
-        std::cerr << "usage: thermal_study [benchmark] [paper-seconds]\n";
+        std::cerr << kUsage;
         return 2;
     }
     const double guardC = 95.0;
@@ -117,4 +124,7 @@ main(int argc, char **argv)
                  "(paper Section VI-C expects the proactive low-power GC "
                  "pause to defer it).\n";
     return 0;
+} catch (const std::invalid_argument &e) {
+    std::cerr << "thermal_study: " << e.what() << "\n" << kUsage;
+    return 2;
 }

@@ -21,23 +21,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# --- gate-tooling self-tests and the fixture pair: the A/B and
-# --- comparison scripts check their own logic, then the ensemble gate is
-# --- exercised in both directions against committed fixtures (a
-# --- healthy re-run must pass, an injected +5 % energy regression must
-# --- fail) without running a single experiment.
+# --- gate-tooling self-tests: the A/B and comparison scripts check
+# --- their own logic. The ensemble gate's also runs both verdicts on
+# --- the committed baseline without running a single experiment: a
+# --- jittered copy (a healthy re-run) must pass, and a +5 % energy
+# --- copy must fail.
 if command -v python3 > /dev/null 2>&1; then
     python3 scripts/ab.py --self-test
     python3 scripts/compare_ensemble.py --self-test
-    python3 scripts/compare_ensemble.py tests/fixtures/ensemble_baseline.json \
-        tests/fixtures/ensemble_ok.json
-    if python3 scripts/compare_ensemble.py \
-        tests/fixtures/ensemble_baseline.json \
-        tests/fixtures/ensemble_regressed.json > /dev/null 2>&1; then
-        echo "ci.sh: ensemble gate FAILED to flag the regressed fixture" >&2
-        exit 1
-    fi
-    echo "ensemble gate fixtures: both verdicts exercised"
 fi
 
 # --- correctness gate (includes the differential fuzzers and the
@@ -145,8 +136,18 @@ if [ "$torn_lines" -le 1 ] || [ "$torn_lines" -ge "$oracle_lines" ]; then
         "$torn_lines of $oracle_lines" >&2
     exit 1
 fi
+# A damaged header is refused with the reader's error and exit 1.
+printf 'X' | dd of="$TRACE_DIR/clean.jtrc" bs=1 seek=1 conv=notrunc \
+    2> /dev/null
+if "$TRACE" cat "$TRACE_DIR/clean.jtrc" 2> "$TRACE_DIR/corrupt.err" \
+    > /dev/null || [ $? -ne 1 ] ||
+    ! grep -q '^javelin-trace: .*(bad magic)$' "$TRACE_DIR/corrupt.err"; then
+    echo "ci.sh: a corrupt trace must exit 1 with the reader's error" >&2
+    exit 1
+fi
 echo "trace smoke: clean round trip byte-identical, torn tail" \
-    "recovered $torn_lines of $oracle_lines oracle lines"
+    "recovered $torn_lines of $oracle_lines oracle lines, corrupt" \
+    "header refused"
 
 # --- capture-RSS ceiling: spooled capture must hold flat memory as
 # --- the sample count scales 10x (1M -> 10M samples). The in-memory
@@ -172,8 +173,8 @@ echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 # --- 2^32-1, the shard count "-4" as 2^64-4, the seed "-1" as 2^64-1,
 # --- the thermal horizon "-5" as a huge tick count, "abc" and "inf" as
 # --- a study of zero runs, the heap "abc" as 0 MB and "-5" as
-# --- 4294967291 MB) or thrown out of main ("abc"). Each exits before
-# --- any experiment.
+# --- 4294967291 MB) or thrown out of main ("abc"); so must an unknown
+# --- benchmark or collector name. Each exits before any experiment.
 expect_usage_error() {
     "$@" > /dev/null 2>&1 && rc=0 || rc=$?
     if [ "$rc" -ne 2 ]; then
@@ -194,7 +195,13 @@ expect_usage_error build/examples/quickstart _202_jess abc
 expect_usage_error build/examples/quickstart _202_jess -5
 expect_usage_error build/examples/power_trace _202_jess abc "$TRACE_DIR"
 expect_usage_error build/examples/power_trace _202_jess -5 "$TRACE_DIR"
-echo "argument smoke: malformed counts rejected with exit 2"
+for example in quickstart gc_comparison embedded_profile power_trace \
+    thermal_study; do
+    expect_usage_error "build/examples/$example" nope
+done
+expect_usage_error build/examples/quickstart _202_jess 32 Nope
+echo "argument smoke: malformed counts and unknown names rejected" \
+    "with exit 2"
 
 # --- sanitizer gate (skippable for quick iteration): the trace
 # --- executor and the SoA cache hot paths lean on raw pointers into
@@ -229,8 +236,7 @@ python3 scripts/ab.py --base "$base"
 # --- committed baseline (Holm-corrected permutation test, not a fixed
 # --- threshold). Regenerate the baseline only after intentional model
 # --- changes: build-release/bench/ensemble_report --out
-# --- bench/ENSEMBLE_energy.baseline.json, then
-# --- scripts/make_ensemble_fixtures.py. scripts/ab.py has configured
+# --- bench/ENSEMBLE_energy.baseline.json. scripts/ab.py has configured
 # --- build-release, the working tree's Release build.
 cmake --build build-release -j --target ensemble_report
 ./build-release/bench/ensemble_report --out ENSEMBLE_current.json

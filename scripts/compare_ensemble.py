@@ -26,16 +26,19 @@ direction:
 Gated metrics default to total_joules and edp_js, where "worse" means
 "larger"; other metrics are reported for context. The seed lists of the
 two reports must match — a different ensemble is a different
-experiment, not a comparison.
+experiment, not a comparison. A cell with fewer than two samples on
+either side, or more failed members than its baseline cell, fails.
 
-Exit status: 0 = no significant regression, 1 = significant regression,
-2 = usage or data error.
+Exit status: 0 = no significant regression, 1 = significant regression
+or lost members, 2 = usage or data error.
 """
 
 import argparse
+import copy
 import itertools
 import json
 import math
+import os
 import random
 import sys
 
@@ -158,8 +161,13 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
         return 2
 
     comparisons = []  # (cell key, metric, p, rel_shift, worse, mw_p)
+    failures = []
     for key in sorted(base_cells):
         bcell, ccell = base_cells[key], cur_cells[key]
+        if ccell.get("failures", 0) > bcell.get("failures", 0):
+            print(f"  {key}: more failed members than the baseline",
+                  file=out)
+            failures.append(f"{key} (failed members)")
         for name, larger_is_worse in metrics.items():
             bm = bcell["metrics"].get(name)
             cm = ccell["metrics"].get(name)
@@ -168,7 +176,9 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
                 continue
             bs, cs = bm["samples"], cm["samples"]
             if len(bs) < 2 or len(cs) < 2:
-                print(f"  {key}.{name}: <2 samples, skipped", file=out)
+                print(f"  {key}.{name}: {len(bs)} vs {len(cs)} samples",
+                      file=out)
+                failures.append(f"{key}.{name} (samples)")
                 continue
             base_mean, cur_mean = mean(bs), mean(cs)
             rel = ((cur_mean - base_mean) / base_mean
@@ -178,13 +188,12 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
             mw = mann_whitney_p(bs, cs)
             comparisons.append((key, name, p, rel, worse, mw))
 
-    if not comparisons:
+    if not comparisons and not failures:
         print("error: no comparable (cell, metric) pair",
               file=sys.stderr)
         return 2
 
     significant = holm_significant([c[2] for c in comparisons], alpha)
-    failures = []
     for i, (key, name, p, rel, worse, mw) in enumerate(comparisons):
         is_sig = i in significant
         regressed = (is_sig and worse and abs(rel) >= min_effect)
@@ -201,8 +210,8 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
               f"(perm p={p:.4g}, mw p={mw:.4g}) {verdict}", file=out)
 
     if failures:
-        print(f"FAIL: statistically significant energy regression "
-              f"(alpha={alpha}, Holm-corrected) in: "
+        print(f"FAIL: lost members or statistically significant energy "
+              f"regression (alpha={alpha}, Holm-corrected) in: "
               f"{', '.join(failures)}", file=sys.stderr)
         return 1
     print(f"OK: no significant regression across "
@@ -271,6 +280,35 @@ def self_test():
     # matters, not just significance.
     better = report([9.2, 9.3, 9.1, 9.25, 9.15, 9.22, 9.18, 9.23])
     check("improved report passes", quiet_compare(base, better) == 0)
+    thin = report([10.0])
+    thin["seeds"] = base["seeds"]
+    check("one-sample cell fails", quiet_compare(base, thin) == 1)
+    lossy = copy.deepcopy(same_rep)
+    lossy["cells"][0]["failures"] = 1
+    check("more failed members fails", quiet_compare(base, lossy) == 1)
+
+    # The committed baseline with every sample jittered by up to
+    # +-0.05 % passes; the same with its energies 5 % higher fails.
+    committed = load_report(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "bench",
+        "ENSEMBLE_energy.baseline.json"))
+    energies = ("total_joules", "cpu_joules", "mem_joules", "edp_js",
+                "gt_total_joules")
+
+    def shifted(energy_shift, seed):
+        out = copy.deepcopy(committed)
+        rng = random.Random(seed)
+        for cell in out["cells"]:
+            for name, metric in cell["metrics"].items():
+                f = 1.0 + (energy_shift if name in energies else 0.0)
+                metric["samples"] = [x * f * rng.uniform(0.9995, 1.0005)
+                                     for x in metric["samples"]]
+        return out
+
+    check("jittered baseline passes",
+          quiet_compare(committed, shifted(0.0, 42)) == 0)
+    check("+5 % energy baseline fails",
+          quiet_compare(committed, shifted(0.05, 43)) == 1)
 
     failed = [name for name, cond in checks if not cond]
     if failed:

@@ -136,26 +136,26 @@ RecordKind
 decodeFileHeader(const unsigned char *p, const char *pathForErrors)
 {
     if (std::memcmp(p, kMagic, 8) != 0)
-        JAVELIN_FATAL(pathForErrors,
-                      ": not a javelin-trace file (bad magic)");
+        throw TraceError(pathForErrors,
+                         ": not a javelin-trace file (bad magic)");
     if (getU32(p + 28) != crc32(p, 28))
-        JAVELIN_FATAL(pathForErrors, ": file header CRC mismatch");
+        throw TraceError(pathForErrors, ": file header CRC mismatch");
     if (getU32(p + 8) != kVersion)
-        JAVELIN_FATAL(pathForErrors, ": unsupported trace version ",
-                      getU32(p + 8));
+        throw TraceError(pathForErrors, ": unsupported trace version ",
+                         getU32(p + 8));
     if (getU32(p + 12) != kEndianCheck)
-        JAVELIN_FATAL(pathForErrors,
-                      ": endianness marker mismatch (file written on "
-                      "an incompatible host)");
+        throw TraceError(pathForErrors,
+                         ": endianness marker mismatch (file written on an "
+                         "incompatible host)");
     const std::uint32_t kindRaw = getU32(p + 16);
     if (kindRaw != static_cast<std::uint32_t>(RecordKind::Power) &&
         kindRaw != static_cast<std::uint32_t>(RecordKind::Perf))
-        JAVELIN_FATAL(pathForErrors, ": unknown record kind ", kindRaw);
+        throw TraceError(pathForErrors, ": unknown record kind ", kindRaw);
     const auto kind = static_cast<RecordKind>(kindRaw);
     if (getU32(p + 20) != recordBytes(kind))
-        JAVELIN_FATAL(pathForErrors, ": record size ", getU32(p + 20),
-                      " does not match kind (want ", recordBytes(kind),
-                      ")");
+        throw TraceError(pathForErrors, ": record size ", getU32(p + 20),
+                         " does not match kind (want ", recordBytes(kind),
+                         ")");
     return kind;
 }
 

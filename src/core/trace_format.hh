@@ -41,11 +41,25 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/traces.hh"
+#include "util/logging.hh"
 
 namespace javelin {
 namespace core {
+
+/** A trace file that cannot be written, read or decoded. */
+struct TraceError : std::runtime_error
+{
+    /** The message streams `first`, then each of `rest`. */
+    template <typename... Rest>
+    explicit TraceError(const std::string &first, const Rest &...rest)
+        : std::runtime_error(detail::concat(first, rest...))
+    {
+    }
+};
+
 namespace tracefmt {
 
 /** File magic: "JVLTRC1\0". */
@@ -96,8 +110,8 @@ void encodeFileHeader(RecordKind kind, unsigned char *out);
 
 /**
  * Validate a file header. Returns the record kind; on any mismatch
- * (magic, version, endianness, record size, CRC) fails through
- * JAVELIN_FATAL naming the defect.
+ * (magic, version, endianness, record size, CRC) throws TraceError
+ * naming the defect.
  */
 RecordKind decodeFileHeader(const unsigned char *p,
                             const char *pathForErrors);

@@ -27,26 +27,29 @@ TraceSpool::TraceSpool(Config config) : config_(std::move(config))
                                  kBlockFooterBytes;
     if (config_.bufferBytes < minBytes)
         config_.bufferBytes = minBytes;
+    block_.resize(config_.bufferBytes);
+    fill_ = kBlockHeaderBytes;
 
-    JAVELIN_ASSERT(!config_.path.empty(), "trace spool needs a path");
     fd_ = ::open(config_.path.c_str(),
                  O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
     if (fd_ < 0)
-        JAVELIN_FATAL("trace spool: cannot create ", config_.path, ": ",
-                      std::strerror(errno));
+        throw TraceError("trace spool: cannot create ", config_.path, ": ",
+                         std::strerror(errno));
 
     unsigned char header[kFileHeaderBytes];
     encodeFileHeader(config_.kind, header);
     pwriteAll(header, kFileHeaderBytes);
     fileOffset_ = kFileHeaderBytes;
-
-    block_.resize(config_.bufferBytes);
-    fill_ = kBlockHeaderBytes;
 }
 
 TraceSpool::~TraceSpool()
 {
-    close();
+    // Only an owner that skipped close() leaves a write to fail here.
+    try {
+        close();
+    } catch (const TraceError &e) {
+        JAVELIN_WARN(e.what());
+    }
 }
 
 void
@@ -143,8 +146,13 @@ TraceSpool::pwriteAll(const unsigned char *data, std::size_t len)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            JAVELIN_FATAL("trace spool: write to ", config_.path,
-                          " failed: ", std::strerror(errno));
+            // A failed write ends the spool, so close() has no more to do.
+            const int error = errno;
+            ::close(fd_);
+            fd_ = -1;
+            closed_ = true;
+            throw TraceError("trace spool: write to ", config_.path,
+                             " failed: ", std::strerror(error));
         }
         done += static_cast<std::size_t>(n);
     }
@@ -179,8 +187,8 @@ preadAll(int fd, unsigned char *out, std::size_t len,
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            JAVELIN_FATAL("trace reader: read of ", path, " failed: ",
-                          std::strerror(errno));
+            throw TraceError("trace reader: read of ", path, " failed: ",
+                             std::strerror(errno));
         }
         if (n == 0)
             return false;
@@ -195,20 +203,31 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
 {
     fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd_ < 0)
-        JAVELIN_FATAL("trace reader: cannot open ", path, ": ",
-                      std::strerror(errno));
+        throw TraceError("trace reader: cannot open ", path, ": ",
+                         std::strerror(errno));
+    try {
+        index();
+    } catch (...) {
+        ::close(fd_);
+        throw;
+    }
+}
+
+void
+TraceReader::index()
+{
     struct stat st;
     if (::fstat(fd_, &st) != 0)
-        JAVELIN_FATAL("trace reader: cannot stat ", path);
+        throw TraceError("trace reader: cannot stat ", path_);
     const std::uint64_t fileSize =
         static_cast<std::uint64_t>(st.st_size);
 
     if (fileSize < kFileHeaderBytes)
-        JAVELIN_FATAL(path, ": too short for a javelin-trace file (",
-                      fileSize, " bytes)");
+        throw TraceError(path_, ": too short for a javelin-trace file (",
+                         fileSize, " bytes)");
     unsigned char header[kFileHeaderBytes];
     preadAll(fd_, header, kFileHeaderBytes, 0, path_);
-    kind_ = decodeFileHeader(header, path.c_str());
+    kind_ = decodeFileHeader(header, path_.c_str());
     recordBytes_ = tracefmt::recordBytes(kind_);
 
     // Block scan: hop header-to-header, validate footers, apply the
@@ -223,12 +242,12 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
         unsigned char bh[kBlockHeaderBytes];
         preadAll(fd_, bh, kBlockHeaderBytes, off, path_);
         if (getU32(bh) != kBlockMagic)
-            JAVELIN_FATAL(path, ": corrupt block header at offset ",
-                          off, " (bad magic)");
+            throw TraceError(path_, ": corrupt block header at offset ", off,
+                             " (bad magic)");
         const std::uint64_t payloadBytes = getU32(bh + 4);
         if (payloadBytes == 0 || payloadBytes % recordBytes_ != 0)
-            JAVELIN_FATAL(path, ": corrupt block header at offset ",
-                          off, " (payload length ", payloadBytes, ")");
+            throw TraceError(path_, ": corrupt block header at offset ", off,
+                             " (payload length ", payloadBytes, ")");
         const std::uint64_t blockEnd =
             off + kBlockHeaderBytes + payloadBytes + kBlockFooterBytes;
         if (blockEnd > fileSize) {
@@ -249,9 +268,9 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
                 torn_ = true; // corrupt final block: drop it
                 break;
             }
-            JAVELIN_FATAL(path, ": corrupt block footer at offset ",
-                          off + kBlockHeaderBytes + payloadBytes,
-                          " (not at the end of the file)");
+            throw TraceError(path_, ": corrupt block footer at offset ",
+                             off + kBlockHeaderBytes + payloadBytes,
+                             " (not at the end of the file)");
         }
 
         BlockInfo info;
@@ -299,8 +318,8 @@ TraceReader::blockPayload(const BlockInfo &b) const
     BlockFooter footer;
     if (!decodeBlockFooter(fb, footer) ||
         crc32(payload.data(), payloadBytes) != footer.payloadCrc)
-        JAVELIN_FATAL(path_, ": block payload CRC mismatch at offset ",
-                      b.offset);
+        throw TraceError(path_, ": block payload CRC mismatch at offset ",
+                         b.offset);
     return payload;
 }
 

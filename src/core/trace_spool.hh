@@ -7,8 +7,9 @@
  * next record would not fit, the append that brought it there seals
  * the block and writes it before going on, so capture memory is
  * bounded by that one buffer no matter how long the run is. A failed
- * write stops inside the append() or close() that caused it. Blocks
- * land on disk in the javelin-trace-v1 format (core/trace_format.hh):
+ * write throws TraceError from the call that caused it and closes the
+ * file. Blocks land on disk in the javelin-trace-v1 format
+ * (core/trace_format.hh):
  * framed, CRC-stamped, each carrying a footer index of its tick range
  * and component mask.
  *
@@ -18,8 +19,9 @@
  * TraceReader is the other half: it validates the file, builds the
  * block index from footers alone (no record decoding), recovers a
  * torn tail the way the job-engine journal does (drop the incomplete
- * final block, refuse corruption anywhere earlier), and serves whole
- * reads or tick-range reads that skip non-intersecting blocks.
+ * final block, throw TraceError on corruption anywhere earlier), and
+ * serves whole reads or tick-range reads that skip non-intersecting
+ * blocks.
  */
 
 #ifndef JAVELIN_CORE_TRACE_SPOOL_HH
@@ -74,9 +76,9 @@ class TraceSpool
     void append(const PerfSample &s);
 
     /**
-     * Write the partial block and close the file. Idempotent; the
-     * destructor calls it. After close() the file is complete and
-     * readable.
+     * Write the partial block and close the file, even when that write
+     * throws. Idempotent; the destructor calls it and warns instead of
+     * throwing. After close() the file is complete and readable.
      */
     void close();
 
@@ -131,8 +133,8 @@ class TraceReader
     };
 
     /**
-     * Open and index a trace file. Fails through JAVELIN_FATAL on
-     * structural corruption anywhere before the final block; a torn
+     * Open and index a trace file. Throws TraceError if it cannot, or
+     * on structural corruption anywhere before the final block; a torn
      * final block is dropped and reported via torn().
      */
     explicit TraceReader(const std::string &path);
@@ -161,6 +163,8 @@ class TraceReader
     PerfTrace readPerfRange(Tick fromTick, Tick toTick) const;
 
   private:
+    /** The constructor's work once the file is open. */
+    void index();
     std::vector<unsigned char> blockPayload(const BlockInfo &b) const;
 
     std::string path_;

@@ -160,6 +160,21 @@ EnsembleRunner::run(const std::vector<SweepTask> &cells) const
     return results;
 }
 
+std::size_t
+reportEnsembleFailures(std::ostream &os,
+                       const std::vector<EnsembleCellResult> &cells)
+{
+    std::size_t failed = 0;
+    for (const auto &cell : cells) {
+        if (cell.failures == 0)
+            continue;
+        ++failed;
+        os << "ensemble failure: " << cell.key << ": " << cell.failures
+           << " failed member(s), first: " << cell.firstError << "\n";
+    }
+    return failed;
+}
+
 void
 writeEnsembleReport(std::ostream &os,
                     const std::vector<EnsembleCellResult> &cells,

@@ -123,6 +123,11 @@ class EnsembleRunner
     EnsembleConfig config_;
 };
 
+/** List each cell with failed members (key, count, first error) and
+ *  return how many there are, as reportSweepFailures does for sweeps. */
+std::size_t reportEnsembleFailures(
+    std::ostream &os, const std::vector<EnsembleCellResult> &cells);
+
 /**
  * Serialize an ensemble as versioned JSON (schema
  * "javelin-ensemble-v1"): run metadata, the seed list, and per cell the

@@ -235,18 +235,11 @@ JobEngine::run(const std::vector<SweepTask> &tasks,
                              std::to_string(config_.shardIndex) + "/" +
                              std::to_string(config_.shardCount));
 
-    std::size_t crashAfter = config_.crashAfter;
-    if (crashAfter == 0) {
-        if (const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER")) {
-            std::uint64_t parsed = 0;
-            if (SweepRunner::parseCount(env, parsed))
-                crashAfter = parsed;
-            else
-                std::cerr << "javelin: ignoring invalid "
-                             "JAVELIN_JOB_CRASH_AFTER='"
-                          << env << "'\n";
-        }
-    }
+    std::uint64_t crashAfter = 0;
+    const char *env = std::getenv("JAVELIN_JOB_CRASH_AFTER");
+    if (env && !SweepRunner::parseCount(env, crashAfter))
+        std::cerr << "javelin: ignoring invalid JAVELIN_JOB_CRASH_AFTER='"
+                  << env << "'\n";
 
     JobReport report;
     report.scenarioName = scenario_name;

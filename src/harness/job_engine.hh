@@ -25,15 +25,17 @@
  * shard resolve last-write-wins; a journal whose scenario hash does
  * not match the scenario being run is refused outright — never
  * silently merged. Failed shards (simulated OOM or a thrown
- * exception) are journaled too, with ExperimentResult::error() as
- * their text, so they surface in the report under their shard key
- * instead of vanishing, and a resume does not pointlessly re-run a
- * deterministic failure.
+ * exception, such as a trace spool's TraceError) are journaled too,
+ * with ExperimentResult::error() as their text, so they surface in the
+ * report under their shard key instead of vanishing, and a resume does
+ * not pointlessly re-run a deterministic failure.
  *
  * Fault-injection hooks: JAVELIN_JOB_CRASH_AFTER=<n> raises SIGKILL
  * immediately after the n-th record commits (the CI kill-and-resume
- * smoke), and Config::keepGoing lets tests abort in-process at an
- * exact commit count without tearing down the test binary.
+ * smoke; a value that is not all digits, per SweepRunner::parseCount,
+ * warns and is ignored), and Config::keepGoing lets tests abort
+ * in-process at an exact commit count without tearing down the test
+ * binary.
  */
 
 #ifndef JAVELIN_HARNESS_JOB_ENGINE_HH
@@ -122,13 +124,6 @@ class JobEngine
          * JobReport::aborted set). Null means always keep going.
          */
         std::function<bool(std::size_t)> keepGoing;
-        /**
-         * Raise SIGKILL after this many commits (0 = off). The
-         * JAVELIN_JOB_CRASH_AFTER environment variable sets this when
-         * the config leaves it 0; a value that is not all digits
-         * (SweepRunner::parseCount) warns and is ignored.
-         */
-        std::size_t crashAfter = 0;
         /**
          * Also persist every known completion record into a
          * javelin-kv-v1 store (util/kv_store.hh), keyed by shard key

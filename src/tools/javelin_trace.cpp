@@ -33,8 +33,9 @@
  * so two `record` runs at any buffer size produce records that decode
  * identically — that is what the CI smoke's cmp relies on.
  *
- * Exit status: 0 ok; 2 usage or I/O errors. Structural corruption
- * fails through JAVELIN_FATAL (exit 1) like every other loader.
+ * Exit status: 0 ok; 1 a trace that cannot be read or written (the
+ * TraceError is printed as "javelin-trace: <message>"); 2 usage errors
+ * and output files that cannot be opened.
  */
 
 #include <sys/resource.h>
@@ -224,7 +225,7 @@ cmdRecord(int argc, char **argv)
 
 int
 main(int argc, char **argv)
-{
+try {
     if (argc < 2)
         return usage();
     const std::string cmd = argv[1];
@@ -309,4 +310,7 @@ main(int argc, char **argv)
         return 0;
     }
     return usage();
+} catch (const TraceError &e) {
+    std::cerr << "javelin-trace: " << e.what() << "\n";
+    return 1;
 }

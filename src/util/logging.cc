@@ -15,14 +15,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
-    std::fflush(stderr);
-    std::exit(1);
-}
-
-void
 warnImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);

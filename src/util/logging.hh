@@ -3,9 +3,10 @@
  * Status and error reporting helpers in the gem5 tradition.
  *
  * panic() is for internal invariant violations (a javelin bug); it aborts
- * so a debugger or core dump can capture the state. fatal() is for user
- * errors (bad configuration, impossible parameters); it exits cleanly with
- * a nonzero status. warn() and inform() never terminate.
+ * so a debugger or core dump can capture the state. warn() never
+ * terminates. There is no fatal(): library code throws a typed error
+ * for bad input or failed I/O, and only a program's main() decides to
+ * exit.
  */
 
 #ifndef JAVELIN_UTIL_LOGGING_HH
@@ -30,8 +31,6 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
 
 } // namespace detail
@@ -39,11 +38,6 @@ void warnImpl(const char *file, int line, const std::string &msg);
 /** Abort on an internal invariant violation. */
 #define JAVELIN_PANIC(...) \
     ::javelin::detail::panicImpl(__FILE__, __LINE__, \
-                                 ::javelin::detail::concat(__VA_ARGS__))
-
-/** Exit on a user-caused unrecoverable condition. */
-#define JAVELIN_FATAL(...) \
-    ::javelin::detail::fatalImpl(__FILE__, __LINE__, \
                                  ::javelin::detail::concat(__VA_ARGS__))
 
 /** Alert the user to suspicious but non-fatal conditions. */

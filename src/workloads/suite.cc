@@ -1,6 +1,6 @@
 #include "workloads/suite.hh"
 
-#include "util/logging.hh"
+#include <stdexcept>
 
 namespace javelin {
 namespace workloads {
@@ -459,7 +459,7 @@ benchmark(const std::string &name)
     for (const auto &p : syntheticBenchmarks())
         if (p.name == name)
             return p;
-    JAVELIN_FATAL("unknown benchmark: ", name);
+    throw std::invalid_argument("unknown benchmark: " + name);
 }
 
 std::vector<BenchmarkProfile>

@@ -22,8 +22,8 @@ const std::vector<BenchmarkProfile> &allBenchmarks();
  *  benchmark() but excluded from the paper matrices above. */
 const std::vector<BenchmarkProfile> &syntheticBenchmarks();
 
-/** Look up one benchmark (paper or synthetic) by name; fatal if
- *  unknown. */
+/** Look up one benchmark (paper or synthetic) by name; throws
+ *  std::invalid_argument ("unknown benchmark: NAME") if unknown. */
 const BenchmarkProfile &benchmark(const std::string &name);
 
 /** Benchmarks belonging to one suite ("SpecJVM98", "DaCapo", "JGF"). */

@@ -16,7 +16,9 @@
  * stale scenario hash is refused, duplicate shard records resolve
  * last-write-wins, and a seeded fuzz loop runs random kill points at
  * random worker counts until the sweep completes, asserting the
- * byte-identity and the exactly-once execution of every shard.
+ * byte-identity and the exactly-once execution of every shard. A shard
+ * whose real experiment throws (its trace spool cannot be created)
+ * costs only itself.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@
 
 #include "harness/job_engine.hh"
 #include "harness/scenario.hh"
+#include "scratch_dir.hh"
 
 using namespace javelin;
 using namespace javelin::harness;
@@ -41,17 +44,6 @@ using namespace javelin::harness;
 namespace {
 
 namespace fs = std::filesystem;
-
-/** Fresh scratch directory per test (removed and recreated). */
-fs::path
-scratchDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / ("javelin_job_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 /**
  * The test sweep: 2 benchmarks x 2 collectors x 3 heaps = 12 shards,
@@ -279,24 +271,6 @@ TEST(JobEngineDeathTest, MalformedCrashAfterEnvIsIgnored)
     }
 }
 
-TEST(JobEngineDeathTest, ConfigCrashAfterRaisesSigkill)
-{
-    const Scenario scenario = testScenario();
-    const auto tasks = expandScenario(scenario);
-    const fs::path dir = scratchDir("sigkill_cfg");
-    EXPECT_EXIT(
-        {
-            JobEngine::Config cfg;
-            cfg.jobs = 1;
-            cfg.execute = syntheticResult;
-            cfg.checkpointPath = (dir / "journal.jsonl").string();
-            cfg.crashAfter = 1;
-            JobEngine(cfg).run(tasks, scenario.name,
-                               scenarioHash(scenario));
-        },
-        testing::KilledBySignal(SIGKILL), "");
-}
-
 TEST(JobEngine, TornFinalRecordIsDroppedAndReExecuted)
 {
     const Scenario scenario = testScenario();
@@ -502,52 +476,9 @@ TEST(JobEngine, ShardPartitionsAreDisjointAndMergeByteIdentical)
     EXPECT_EQ(reportBytes(last), expected);
 
     EXPECT_THROW(
-        JobEngine(JobEngine::Config{"", false, 0, 3, 3, {}, {}, {}, 0,
-                                    ""})
+        JobEngine(JobEngine::Config{"", false, 0, 3, 3, {}, {}, {}, ""})
             .run(tasks, scenario.name, hash),
         JobEngineError);
-}
-
-TEST(JobEngine, FailedShardsSurfaceUnderTheirKey)
-{
-    const Scenario scenario = testScenario();
-    const auto tasks = expandScenario(scenario);
-    const std::string hash = scenarioHash(scenario);
-    const fs::path dir = scratchDir("failed_shard");
-    const std::string ckpt = (dir / "journal.jsonl").string();
-    const std::string victim = executedKey(tasks, 7);
-
-    JobEngine::Config cfg;
-    cfg.jobs = 4;
-    cfg.checkpointPath = ckpt;
-    cfg.execute = [&](const SweepTask &task) -> ExperimentResult {
-        if (shardKey(task) == victim)
-            throw std::runtime_error("injected executor failure");
-        return syntheticResult(task);
-    };
-    const JobReport report =
-        JobEngine(cfg).run(tasks, scenario.name, hash);
-    EXPECT_EQ(report.failures(), 1u);
-    const auto &rec = report.records[7];
-    EXPECT_EQ(rec.shard, 7u);
-    // Records carry the scenario-level key (base seed), not the
-    // mixed per-shard seed the executor saw.
-    EXPECT_EQ(rec.key, shardKey(tasks[7]));
-    EXPECT_FALSE(rec.ok);
-    EXPECT_EQ(rec.error, "injected executor failure");
-    // The failure is in the serialized report, keyed, not swallowed.
-    EXPECT_NE(reportBytes(report).find(shardKey(tasks[7])),
-              std::string::npos);
-    EXPECT_NE(reportBytes(report).find("injected executor failure"),
-              std::string::npos);
-
-    // A resume restores the journaled failure instead of re-running it.
-    cfg.resume = true;
-    cfg.execute = syntheticResult;
-    const JobReport resumed =
-        JobEngine(cfg).run(tasks, scenario.name, hash);
-    EXPECT_EQ(resumed.executed, 0u);
-    EXPECT_EQ(resumed.failures(), 1u);
 }
 
 TEST(JobEngine, FuzzRandomKillPointsAlwaysConvergeByteIdentical)
@@ -598,43 +529,70 @@ TEST(JobEngine, FuzzRandomKillPointsAlwaysConvergeByteIdentical)
 }
 
 /**
- * End-to-end: the real executor (runExperiment) on a 2-shard
- * Small-dataset sweep — crash after the first shard, resume, and the
- * merged report is byte-identical to the uninterrupted run of the
- * actual simulator.
+ * End to end with the real executor (runExperiment) on three Small
+ * shards, one of which cannot create its power trace because a
+ * directory holds the path. That shard fails alone, under its key, and
+ * a resume restores every record without running anything. A second
+ * journal, crashed after its first commit and resumed, reaches the
+ * same report bytes as the uninterrupted run.
  */
-TEST(JobEngine, RealExperimentCrashResumeIsByteIdentical)
+TEST(JobEngine, RealExperimentSpoolFailureCostsOneShard)
 {
     Scenario scenario;
     scenario.name = "job-engine-e2e";
     scenario.base.dataset = workloads::DatasetScale::Small;
-    scenario.base.heapNominalMB = 32;
     scenario.base.collector = jvm::CollectorKind::SemiSpace;
-    scenario.benchmarks = {"_202_jess", "_209_db"};
-    const auto tasks = expandScenario(scenario);
-    ASSERT_EQ(tasks.size(), 2u);
+    scenario.benchmarks = {"_202_jess"};
+    scenario.heapsMB = {32, 48, 64};
+    auto tasks = expandScenario(scenario);
+    ASSERT_EQ(tasks.size(), 3u);
     const std::string hash = scenarioHash(scenario);
-
-    JobEngine::Config clean;
-    clean.jobs = 1;
-    const std::string expected = reportBytes(
-        JobEngine(clean).run(tasks, scenario.name, hash));
-
     const fs::path dir = scratchDir("e2e");
+    for (auto &task : tasks)
+        task.config.traceSpoolDir = (dir / shardKey(task)).string();
+    const fs::path blocked =
+        fs::path(tasks[1].config.traceSpoolDir) / "_202_jess.power.jtrc";
+    fs::create_directories(blocked);
+
     JobEngine::Config cfg;
-    cfg.jobs = 1;
+    cfg.jobs = 2;
     cfg.checkpointPath = (dir / "journal.jsonl").string();
-    cfg.keepGoing = [](std::size_t n) { return n < 1; };
-    const JobReport crashed =
+    const JobReport report =
         JobEngine(cfg).run(tasks, scenario.name, hash);
+    EXPECT_FALSE(report.aborted);
+    EXPECT_EQ(report.failures(), 1u);
+    ASSERT_EQ(report.records.size(), 3u);
+    EXPECT_TRUE(report.records[0].ok);
+    EXPECT_TRUE(report.records[2].ok);
+    EXPECT_EQ(report.records[1].key, shardKey(tasks[1]));
+    EXPECT_EQ(report.records[1].error, "trace spool: cannot create " +
+                                           blocked.string() +
+                                           ": Is a directory");
+    // The failure is in the serialized report, not swallowed.
+    const std::string expected = reportBytes(report);
+    EXPECT_NE(expected.find(report.records[1].error), std::string::npos);
+
+    cfg.resume = true;
+    const JobReport restored =
+        JobEngine(cfg).run(tasks, scenario.name, hash);
+    EXPECT_EQ(restored.restored, 3u);
+    EXPECT_EQ(restored.executed, 0u);
+    EXPECT_EQ(reportBytes(restored), expected);
+
+    JobEngine::Config crash;
+    crash.jobs = 1;
+    crash.checkpointPath = (dir / "crashed.jsonl").string();
+    crash.keepGoing = [](std::size_t n) { return n < 1; };
+    const JobReport crashed =
+        JobEngine(crash).run(tasks, scenario.name, hash);
     EXPECT_TRUE(crashed.aborted);
     EXPECT_EQ(crashed.executed, 1u);
 
-    cfg.resume = true;
-    cfg.keepGoing = nullptr;
+    crash.resume = true;
+    crash.keepGoing = nullptr;
     const JobReport resumed =
-        JobEngine(cfg).run(tasks, scenario.name, hash);
+        JobEngine(crash).run(tasks, scenario.name, hash);
     EXPECT_EQ(resumed.restored, 1u);
-    EXPECT_EQ(resumed.executed, 1u);
+    EXPECT_EQ(resumed.executed, 2u);
     EXPECT_EQ(reportBytes(resumed), expected);
 }

@@ -13,6 +13,7 @@
 #include <map>
 #include <random>
 
+#include "scratch_dir.hh"
 #include "util/kv_store.hh"
 
 using namespace javelin;
@@ -20,32 +21,6 @@ using namespace javelin;
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / ("javelin_kv_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
-std::vector<char>
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
-}
-
-void
-writeFile(const fs::path &path, const std::vector<char> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
 
 } // namespace
 

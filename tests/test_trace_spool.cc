@@ -4,8 +4,9 @@
  * the CRC-32 against its bitwise definition, bit-identical
  * spooled-vs-in-memory round trips (differential fuzz across block
  * sizes), torn-tail recovery, mid-file corruption refusal,
- * fault-injected crashes, a failed block write, and the Daq/HpmSampler
- * spool plumbing.
+ * fault-injected crashes, failed writes, and the Daq/HpmSampler spool
+ * plumbing. Every failure is a TraceError, and no throwing constructor
+ * or close() leaves its file open.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "core/hpm_sampler.hh"
 #include "core/trace_format.hh"
 #include "core/trace_spool.hh"
+#include "scratch_dir.hh"
 #include "sim/platform.hh"
 
 using namespace javelin;
@@ -33,16 +35,6 @@ using sim::System;
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / ("javelin_spool_" + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 /**
  * Deterministic synthetic samples. The power shapes are
@@ -142,20 +134,25 @@ spoolPower(const TraceSpool::Config &cfg, std::uint64_t count)
     return oracle;
 }
 
-std::vector<char>
-readFile(const fs::path &path)
+/** Require `fn` to throw a TraceError whose message contains `text`. */
+template <typename Fn>
+void
+expectTraceError(Fn &&fn, const std::string &text)
 {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>(std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>());
+    try {
+        fn();
+        ADD_FAILURE() << "no TraceError";
+    } catch (const TraceError &e) {
+        EXPECT_PRED_FORMAT2(testing::IsSubstring, text, e.what());
+    }
 }
 
-void
-writeFile(const fs::path &path, const std::vector<char> &bytes)
+/** This process's open file descriptors. */
+std::size_t
+openFds()
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
 }
 
 /** CRC-32 one bit at a time: the definition the tables must match. */
@@ -366,54 +363,39 @@ TEST(TraceSpool, MidFileCorruptionIsRefused)
         ASSERT_GT(blocks.size(), 3u);
     }
 
-    // A flipped byte in an early block's footer: structural failure
-    // before the tail, caught while indexing.
+    const std::uint64_t payload =
+        blocks[1].offset + tracefmt::kBlockHeaderBytes;
+    const struct
     {
+        std::uint64_t offset;
+        unsigned char flip;
+        std::string error;
+    } cases[] = {
+        // A flipped byte in an early block's footer: structural failure
+        // before the tail, caught while indexing.
+        {payload + blocks[1].recordCount * tracefmt::kPowerRecordBytes,
+         0x5A, "corrupt block footer"},
+        // A flipped byte inside an early payload: footer shape is fine,
+        // so indexing succeeds, but decoding trips the payload CRC.
+        {payload + 5, 0x5A, "payload CRC"},
+        // A scrambled block magic is corruption wherever it appears.
+        {blocks[1].offset, 0xFF,
+         "corrupt block header at offset " +
+             std::to_string(blocks[1].offset) + " (bad magic)"},
+        // A damaged file header never reads as an empty trace.
+        {1, 0xFF, "not a javelin-trace file (bad magic)"},
+    };
+    const std::size_t fds = openFds();
+    for (const auto &c : cases) {
         std::vector<char> bytes = whole;
-        bytes[blocks[1].offset + tracefmt::kBlockHeaderBytes +
-              blocks[1].recordCount * tracefmt::kPowerRecordBytes] ^=
-            0x5A;
-        const fs::path p = dir / "bad_footer";
+        bytes[c.offset] ^= c.flip;
+        const fs::path p = dir / "corrupt.jtrc";
         writeFile(p, bytes);
-        EXPECT_EXIT(TraceReader reader(p.string()),
-                    testing::ExitedWithCode(1), "block");
+        expectTraceError([&] { TraceReader(p.string()).readPower(); },
+                         c.error);
     }
-
-    // A flipped byte inside an early payload: footer shape is fine,
-    // so indexing succeeds, but decoding trips the payload CRC.
-    {
-        std::vector<char> bytes = whole;
-        bytes[blocks[1].offset + tracefmt::kBlockHeaderBytes + 5] ^=
-            0x5A;
-        const fs::path p = dir / "bad_payload";
-        writeFile(p, bytes);
-        EXPECT_EXIT(
-            {
-                TraceReader reader(p.string());
-                reader.readPower();
-            },
-            testing::ExitedWithCode(1), "payload CRC");
-    }
-
-    // A scrambled block magic is corruption wherever it appears.
-    {
-        std::vector<char> bytes = whole;
-        bytes[blocks[1].offset] ^= 0xFF;
-        const fs::path p = dir / "bad_magic";
-        writeFile(p, bytes);
-        EXPECT_EXIT(TraceReader reader(p.string()),
-                    testing::ExitedWithCode(1), "bad magic");
-    }
-
-    // A damaged file header never reads as an empty trace.
-    {
-        std::vector<char> bytes = whole;
-        bytes[1] ^= 0xFF;
-        const fs::path p = dir / "bad_header";
-        writeFile(p, bytes);
-        EXPECT_EXIT(TraceReader reader(p.string()),
-                    testing::ExitedWithCode(1), "magic");
-    }
+    // No reader that threw left its file open.
+    EXPECT_EQ(openFds(), fds);
 }
 
 TEST(TraceSpool, CrashInjectionTearsTheFileMidBlock)
@@ -441,39 +423,68 @@ TEST(TraceSpool, CrashInjectionTearsTheFileMidBlock)
 }
 
 /**
- * A block write that fails stops the process inside the append that
- * sealed the block. The child caps its own file size at the header
- * plus two 4 KiB blocks (32 + 2 x 4080 bytes), so the third block's
- * write fails with EFBIG; SIGXFSZ is ignored so the write returns the
- * error instead of killing the process. Reaching the exit(3) right
- * after the sealing append would mean the failure was deferred or
- * went unnoticed.
+ * Every write that fails throws TraceError and closes the file: the
+ * header, written by the constructor; a block, written by the append
+ * that sealed it; and the last block, written by close() or, for a
+ * spool its owner never closed, by the destructor, which warns instead.
+ * The child caps its file size at the header plus two 4 KiB blocks
+ * (32 + 2 x 4080 bytes), so a third block's write fails with EFBIG;
+ * SIGXFSZ is ignored so the write returns the error instead of killing
+ * the process.
  */
-TEST(TraceSpool, FailedBlockWriteExitsInTheSealingAppend)
+TEST(TraceSpool, FailedBlockWriteThrowsFromTheSealingAppend)
 {
+    ASSERT_TRUE(fs::is_character_file("/dev/full"));
+    const std::size_t fds = openFds();
+    expectTraceError([] { TraceSpool spool({"/dev/full"}); },
+                     "trace spool: write to /dev/full failed: No space");
+    EXPECT_EQ(openFds(), fds);
+
     const fs::path dir = scratchDir("efbig");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.bufferBytes = 1 << 12;
+    const auto in = [&dir](const char *name) {
+        return TraceSpool::Config{(dir / name).string(),
+                                  tracefmt::RecordKind::Power, 4096};
+    };
     // 101 records per block, so append 3 * 101 (from 0) seals the
     // third block.
     const std::uint64_t perBlock =
-        (cfg.bufferBytes - tracefmt::kBlockHeaderBytes -
-         tracefmt::kBlockFooterBytes) /
+        (4096 - tracefmt::kBlockHeaderBytes - tracefmt::kBlockFooterBytes) /
         tracefmt::kPowerRecordBytes;
-
     EXPECT_EXIT(
         {
             std::signal(SIGXFSZ, SIG_IGN);
             rlimit limit;
             limit.rlim_cur = limit.rlim_max = 8192;
             ::setrlimit(RLIMIT_FSIZE, &limit);
-            TraceSpool spool(cfg);
-            for (std::uint64_t i = 0; i <= 3 * perBlock; ++i)
-                spool.append(synthPower(i));
-            ::_exit(3);
+            const std::size_t childFds = openFds();
+            {
+                TraceSpool sealed(in("sealed"));
+                TraceSpool closed(in("closed"));
+                TraceSpool dropped(in("dropped"));
+                std::uint64_t i = 0;
+                try {
+                    for (; i <= 3 * perBlock; ++i)
+                        sealed.append(synthPower(i));
+                } catch (const TraceError &e) {
+                    std::fprintf(stderr, "append %d: %s\n",
+                                 static_cast<int>(i), e.what());
+                }
+                for (i = 0; i <= 2 * perBlock; ++i) {
+                    closed.append(synthPower(i));
+                    dropped.append(synthPower(i));
+                }
+                try {
+                    closed.close();
+                } catch (const TraceError &e) {
+                    std::fprintf(stderr, "close: %s\n", e.what());
+                }
+            }
+            ::_exit(openFds() == childFds ? 1 : 4);
         },
-        testing::ExitedWithCode(1), "File too large");
+        testing::ExitedWithCode(1),
+        "append " + std::to_string(3 * perBlock) +
+            ": .*File too large.*close: .*File too large.*"
+            "warn: trace spool: write to .*dropped failed");
 }
 
 TEST(TraceSpool, DaqTeeModeSpoolsBitIdenticalTrace)

@@ -220,9 +220,3 @@ TEST(LoggingDeath, AssertAborts)
 {
     EXPECT_DEATH(JAVELIN_ASSERT(1 == 2, "math broke"), "math broke");
 }
-
-TEST(LoggingDeath, FatalExits)
-{
-    EXPECT_EXIT(JAVELIN_FATAL("bad config"),
-                testing::ExitedWithCode(1), "bad config");
-}

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "jvm/jvm.hh"
 #include "sim/platform.hh"
 #include "workloads/program_builder.hh"
@@ -32,8 +34,12 @@ TEST(Suite, LookupByName)
     EXPECT_EQ(benchmark("_213_javac").suite, "SpecJVM98");
     EXPECT_EQ(benchmark("fop").suite, "DaCapo");
     EXPECT_EQ(benchmark("euler").suite, "JGF");
-    EXPECT_EXIT(benchmark("nope"), testing::ExitedWithCode(1),
-                "unknown benchmark");
+    try {
+        benchmark("nope");
+        FAIL() << "unknown name was found";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "unknown benchmark: nope");
+    }
 }
 
 TEST(Suite, EmbeddedSelectionMatchesPaper)
