@@ -47,7 +47,7 @@ main(int argc, char **argv)
     const auto spec = sim::p6Spec();
     const auto &names = scenario.benchmarks;
     auto tasks = expandScenario(scenario);
-    // Host-side capture knob; shard keys name the per-run spool dirs.
+    // Host-side capture knob; shard keys name the per-run trace dirs.
     if (!traceDir.empty())
         for (auto &task : tasks)
             task.config.traceSpoolDir =

@@ -14,9 +14,12 @@
  * after any *intentional* model change, and say so in the commit (the
  * same protocol as the golden runs). The report is deterministic for a
  * fixed seed list at any JAVELIN_JOBS setting. A cell with a failed
- * member is listed on stderr and nothing is written (exit 1); the
- * builtin scenario's JSON is `javelin-sweep --builtin
- * ensemble-regression --print-scenario`.
+ * member is listed on stderr and nothing is written (exit 1).
+ *
+ * The matrix is the builtin "ensemble-regression" scenario, pinned as
+ * tests/fixtures/ensemble_regression.scenario.json; `javelin-sweep
+ * --builtin ensemble-regression --print-scenario` prints it, and
+ * javelin-sweep runs any other scenario file.
  */
 
 #include <fstream>
@@ -34,7 +37,7 @@ int
 usage()
 {
     std::cerr << "usage: ensemble_report [--out FILE] "
-                 "[--seeds 1,2,...] [--scenario FILE]\n";
+                 "[--seeds 1,2,...]\n";
     return 2;
 }
 
@@ -65,7 +68,6 @@ int
 main(int argc, char **argv)
 {
     std::string outPath;
-    std::string scenarioPath;
     EnsembleConfig cfg;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -77,28 +79,14 @@ main(int argc, char **argv)
                              "comma-separated non-negative integers)\n";
                 return usage();
             }
-        } else if (arg == "--scenario" && i + 1 < argc) {
-            scenarioPath = argv[++i];
         } else {
             return usage();
         }
     }
 
-    // The regression matrix is data: the builtin "ensemble-regression"
-    // scenario (pinned as tests/fixtures/ensemble_regression.scenario
-    // .json), or any scenario file passed with --scenario.
-    Scenario scenario;
-    try {
-        scenario = scenarioPath.empty()
-                       ? builtinScenario("ensemble-regression")
-                       : parseScenarioFile(scenarioPath);
-    } catch (const ScenarioError &e) {
-        std::cerr << "ensemble_report: " << e.what() << "\n";
-        return 2;
-    }
-
     cfg.progress = consoleProgress("ensemble");
-    const auto cells = expandScenario(scenario);
+    const auto cells =
+        expandScenario(builtinScenario("ensemble-regression"));
     const auto results = EnsembleRunner(cfg).run(cells);
     if (reportEnsembleFailures(std::cerr, results) > 0)
         return 1;

@@ -49,7 +49,7 @@ main(int argc, char **argv)
     const auto &heaps = scenario.heapsMB;
 
     auto tasks = expandScenario(scenario);
-    // Per-shard spool directories: host-side capture only, so the
+    // Per-shard trace directories: host-side capture only, so the
     // shard key (not the config hash) names each run's traces.
     if (!traceDir.empty())
         for (auto &task : tasks)

@@ -5,9 +5,9 @@
  * can be re-plotted from javelin data with any plotting tool.
  *
  * The run is a plain runExperiment with traceSpoolDir set to the
- * outdir (DESIGN.md §10): samples stream to javelin-trace-v1 binary
- * files as the run executes, and the CSVs are decoded from the binary
- * traces afterwards. runExperiment stops the DAQ and the HPM sampler,
+ * outdir (DESIGN.md §10): the rig writes both traces to
+ * javelin-trace-v1 binary files when the run ends, and the CSVs are
+ * decoded from those files. runExperiment stops the DAQ and the HPM sampler,
  * so the CSVs end with the final partial windows its attribution
  * counts. `javelin-trace cat/index/range` can inspect the .jtrc files
  * directly.

@@ -3,9 +3,9 @@
 # per-op interpreter and GC oracles run inside it, in-process, as the
 # reference side of tests/test_interp_diff.cc and tests/test_gc_diff.cc);
 # then the repository benchmark's own tests (perfbench/); then the CLI
-# smokes, the trace-spool smoke (crash-recovery round trip) and the
-# flat-RSS capture ceiling; then the same suite once more in a Debug
-# ASan+UBSan build; then the perf gate: scripts/ab.py builds the
+# smokes, among them the sweep exit codes and the trace smoke (round
+# trip and torn-tail recovery); then the same suite once more in a
+# Debug ASan+UBSan build; then the perf gate: scripts/ab.py builds the
 # working tree and a base side by side (the commit the tree sits on
 # when it has uncommitted changes, that commit's parent when it has
 # none) and runs interleaved pairs of every perfbench workload and the
@@ -107,25 +107,57 @@ cmp "$COT_DIR/j2.json" "$COT_DIR/resumed.json"
 echo "co-tenancy smoke: jobs-1, jobs-2 and crash-resumed reports" \
     "byte-identical"
 
-# --- trace-spool smoke: record a synthetic power trace alongside an
-# --- in-memory CSV oracle and require the spooled binary file to
-# --- decode byte-identically; then SIGKILL the recorder mid-spool via
-# --- --crash-after-blocks and require recovery to yield an exact,
-# --- non-trivial line-prefix of the oracle (torn-tail semantics of
+expect_exit() {
+    want=$1
+    shift
+    "$@" > /dev/null 2>&1 && rc=0 || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "ci.sh: expected exit $want, got $rc: $*" >&2
+        exit 1
+    fi
+}
+
+# --- sweep exit codes (DESIGN.md §4a): a simulated out-of-memory run
+# --- is a result, so a sweep whose every shard runs out of memory
+# --- exits 0; the same sweep with co-tenants exits 1, because a
+# --- tenant that dies fails its shard ("tenant failed:
+# --- OutOfMemoryError").
+OOM_DIR=build/oom-smoke
+rm -rf "$OOM_DIR"
+mkdir -p "$OOM_DIR"
+oom_scenario() {
+    printf '{"schema": "javelin-scenario-v1", "name": "oom", "base":
+  {"dataset": "Small", "heap_scale": 0.001%s},
+  "sweep": {"benchmark": ["_202_jess", "_209_db"]}}\n' "$1"
+}
+oom_scenario '' > "$OOM_DIR/oom.json"
+oom_scenario ', "tenants": 2, "requests_per_tenant": 4' \
+    > "$OOM_DIR/tenants.json"
+expect_exit 0 "$SWEEP" "$OOM_DIR/oom.json"
+expect_exit 1 "$SWEEP" "$OOM_DIR/tenants.json"
+echo "sweep exit codes: simulated out-of-memory shards exit 0," \
+    "a co-tenant failure exits 1"
+
+# --- trace smoke: record a synthetic power trace in 64 KiB blocks
+# --- alongside an in-memory CSV oracle and require the binary file to
+# --- decode byte-identically; then cut a copy halfway through its
+# --- tenth block, as a write that is killed or hits a full disk
+# --- leaves it, and require recovery to yield an exact, non-trivial
+# --- line-prefix of the oracle (torn-tail semantics of
 # --- javelin-trace-v1; DESIGN.md §10).
 TRACE=build/src/tools/javelin-trace
 TRACE_DIR=build/trace-smoke
 rm -rf "$TRACE_DIR"
 mkdir -p "$TRACE_DIR"
-"$TRACE" record --samples 50000 --out "$TRACE_DIR/clean.jtrc" \
-    --csv-oracle "$TRACE_DIR/oracle.csv" > /dev/null
+"$TRACE" record --samples 50000 --buffer-bytes 65536 \
+    --out "$TRACE_DIR/clean.jtrc" --csv-oracle "$TRACE_DIR/oracle.csv" \
+    > /dev/null
 "$TRACE" export-csv "$TRACE_DIR/clean.jtrc" "$TRACE_DIR/clean.csv"
 cmp "$TRACE_DIR/oracle.csv" "$TRACE_DIR/clean.csv"
-if "$TRACE" record --samples 50000 --out "$TRACE_DIR/torn.jtrc" \
-    --buffer-bytes 65536 --crash-after-blocks 10 > /dev/null 2>&1; then
-    echo "ci.sh: --crash-after-blocks did not kill javelin-trace" >&2
-    exit 1
-fi
+# The index prints six lines, then one line per block, offset first.
+torn_bytes=$("$TRACE" index "$TRACE_DIR/clean.jtrc" |
+    awk -F, 'NR == 16 { a = $1 } NR == 17 { print int((a + $1) / 2) }')
+head -c "$torn_bytes" "$TRACE_DIR/clean.jtrc" > "$TRACE_DIR/torn.jtrc"
 "$TRACE" export-csv "$TRACE_DIR/torn.jtrc" "$TRACE_DIR/torn.csv"
 head -n "$(wc -l < "$TRACE_DIR/torn.csv")" "$TRACE_DIR/oracle.csv" \
     | cmp - "$TRACE_DIR/torn.csv"
@@ -149,25 +181,6 @@ echo "trace smoke: clean round trip byte-identical, torn tail" \
     "recovered $torn_lines of $oracle_lines oracle lines, corrupt" \
     "header refused"
 
-# --- capture-RSS ceiling: spooled capture must hold flat memory as
-# --- the sample count scales 10x (1M -> 10M samples). The in-memory
-# --- path grows ~40 B per power sample (~400 MB at 10M); the spool
-# --- must stay inside its one block buffer, so allow well under one
-# --- in-memory decade of growth.
-trace_rss() {
-    "$TRACE" record --samples "$1" --out "$TRACE_DIR/rss.jtrc" \
-        --print-rss 2>&1 > /dev/null | sed -n 's/.*max_rss_kb=//p'
-}
-rss_1m=$(trace_rss 1000000)
-rss_10m=$(trace_rss 10000000)
-rm -f "$TRACE_DIR/rss.jtrc"
-if [ $((rss_10m - rss_1m)) -gt 65536 ]; then
-    echo "ci.sh: spooled capture RSS grew ${rss_1m}kB -> ${rss_10m}kB" \
-        "over a 10x sample scale" >&2
-    exit 1
-fi
-echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
-
 # --- argument smoke: a malformed count must be a usage error (exit 2),
 # --- never silently parsed into some other number ("1e6" as 1, "-1" as
 # --- 2^32-1, the shard count "-4" as 2^64-4, the seed "-1" as 2^64-1,
@@ -176,11 +189,7 @@ echo "rss ceiling: 1M samples ${rss_1m}kB, 10M samples ${rss_10m}kB"
 # --- 4294967291 MB) or thrown out of main ("abc"); so must an unknown
 # --- benchmark or collector name. Each exits before any experiment.
 expect_usage_error() {
-    "$@" > /dev/null 2>&1 && rc=0 || rc=$?
-    if [ "$rc" -ne 2 ]; then
-        echo "ci.sh: expected exit 2, got $rc: $*" >&2
-        exit 1
-    fi
+    expect_exit 2 "$@"
 }
 expect_usage_error "$TRACE" record --samples 1e6 \
     --out "$TRACE_DIR/bad.jtrc"

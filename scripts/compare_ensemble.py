@@ -26,8 +26,9 @@ direction:
 Gated metrics default to total_joules and edp_js, where "worse" means
 "larger"; other metrics are reported for context. The seed lists of the
 two reports must match — a different ensemble is a different
-experiment, not a comparison. A cell with fewer than two samples on
-either side, or more failed members than its baseline cell, fails.
+experiment, not a comparison. A cell fails when a gated metric is
+missing or has fewer than two samples on either side, or when it has
+more failed members than its baseline cell.
 
 Exit status: 0 = no significant regression, 1 = significant regression
 or lost members, 2 = usage or data error.
@@ -172,7 +173,10 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
             bm = bcell["metrics"].get(name)
             cm = ccell["metrics"].get(name)
             if bm is None or cm is None:
-                print(f"  {key}.{name}: missing, skipped", file=out)
+                side = "baseline" if bm is None else "current report"
+                print(f"  {key}.{name}: missing from the {side}",
+                      file=out)
+                failures.append(f"{key}.{name} (missing)")
                 continue
             bs, cs = bm["samples"], cm["samples"]
             if len(bs) < 2 or len(cs) < 2:
@@ -210,8 +214,9 @@ def compare(base, cur, alpha, min_effect, metrics, out=sys.stdout):
               f"(perm p={p:.4g}, mw p={mw:.4g}) {verdict}", file=out)
 
     if failures:
-        print(f"FAIL: lost members or statistically significant energy "
-              f"regression (alpha={alpha}, Holm-corrected) in: "
+        print(f"FAIL: lost members or metrics, or statistically "
+              f"significant energy regression (alpha={alpha}, "
+              f"Holm-corrected) in: "
               f"{', '.join(failures)}", file=sys.stderr)
         return 1
     print(f"OK: no significant regression across "
@@ -286,6 +291,13 @@ def self_test():
     lossy = copy.deepcopy(same_rep)
     lossy["cells"][0]["failures"] = 1
     check("more failed members fails", quiet_compare(base, lossy) == 1)
+    for name in GATED_METRICS:
+        gone = copy.deepcopy(same_rep)
+        del gone["cells"][0]["metrics"][name]
+        check(f"{name} missing from the current report fails",
+              quiet_compare(base, gone) == 1)
+        check(f"{name} missing from the baseline fails",
+              quiet_compare(gone, same_rep) == 1)
 
     # The committed baseline with every sample jittered by up to
     # +-0.05 % passes; the same with its energies 5 % higher fails.

@@ -19,13 +19,9 @@ Daq::Daq(sim::System &system, ComponentPort &port)
 
 Daq::Daq(sim::System &system, ComponentPort &port, const Config &config)
     : system_(system), port_(port), period_(system.spec().daqPeriod),
-      cpuSense_(config.cpuSense), memSense_(config.memSense),
-      spool_(config.spool)
+      cpuSense_(config.cpuSense), memSense_(config.memSense)
 {
     JAVELIN_ASSERT(period_ > 0, "DAQ period must be positive");
-    if (spool_)
-        JAVELIN_ASSERT(spool_->kind() == tracefmt::RecordKind::Power,
-                       "DAQ spool must carry power records");
     trace_.reserve(kTraceReserve);
     refTick_ = system_.cpu().now();
     // Snapshot the energy baseline at attach time: a DAQ connected to a
@@ -79,8 +75,6 @@ Daq::sample(Tick now)
         s.memWatts = lastMemWatts_;
     }
     trace_.push_back(s);
-    if (spool_)
-        spool_->append(s);
 
     refCpuJoules_ = cpuJ;
     refMemJoules_ = memJ;

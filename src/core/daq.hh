@@ -9,6 +9,10 @@
  * nor is the exact instant of a component switch. The sampled power for
  * a window is the window-average of the (exactly integrated) power
  * model, which is what a real integrating DAQ front-end reports.
+ *
+ * Like the paper's DAQ, it only captures: the whole trace stays in
+ * memory for offline attribution, and a run that keeps its traces
+ * writes them to disk after stop() (core::writeTrace, DESIGN.md §10).
  */
 
 #ifndef JAVELIN_CORE_DAQ_HH
@@ -16,7 +20,6 @@
 
 #include "core/component_port.hh"
 #include "core/sense_resistor.hh"
-#include "core/trace_spool.hh"
 #include "core/traces.hh"
 #include "sim/system.hh"
 
@@ -35,12 +38,6 @@ class Daq
         SenseResistor::Config cpuSense;
         /** Memory rail sense channel. */
         SenseResistor::Config memSense;
-        /**
-         * Spool sink (non-owning): every sample is also appended to
-         * this spool as it is taken (tee capture; the in-memory trace
-         * is always kept).
-         */
-        TraceSpool *spool = nullptr;
     };
 
     Daq(sim::System &system, ComponentPort &port);
@@ -86,7 +83,6 @@ class Daq
     SenseResistor cpuSense_;
     SenseResistor memSense_;
     PowerTrace trace_;
-    TraceSpool *spool_ = nullptr;
     bool stopped_ = false;
 
     double refCpuJoules_ = 0.0;

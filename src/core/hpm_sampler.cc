@@ -20,13 +20,9 @@ HpmSampler::HpmSampler(sim::System &system, ComponentPort &port)
 HpmSampler::HpmSampler(sim::System &system, ComponentPort &port,
                        const Config &config)
     : system_(system), port_(port), period_(system.spec().hpmPeriod),
-      isrCostCycles_(config.isrCostCycles), spool_(config.spool)
+      isrCostCycles_(config.isrCostCycles)
 {
     JAVELIN_ASSERT(period_ > 0, "HPM period must be positive");
-    if (spool_)
-        JAVELIN_ASSERT(spool_->kind() ==
-                           core::tracefmt::RecordKind::Perf,
-                       "HPM spool must carry perf records");
     trace_.reserve(kTraceReserve);
     last_ = system_.counters();
     task_ = system_.addPeriodicTask(period_,
@@ -47,8 +43,6 @@ HpmSampler::stop()
     s.component = port_.current();
     s.delta = current - last_;
     trace_.push_back(s);
-    if (spool_)
-        spool_->append(s);
     last_ = current;
 }
 
@@ -67,8 +61,6 @@ HpmSampler::sample(Tick now)
     s.component = port_.current();
     s.delta = current - last_;
     trace_.push_back(s);
-    if (spool_)
-        spool_->append(s);
     last_ = current;
 }
 

@@ -7,13 +7,14 @@
  * counter deltas over the period are attributed to the JVM component
  * registered at the sampling instant. This is the source of the
  * per-component IPC and cache-miss-rate numbers in paper Section VI-C.
+ * As with core::Daq, the whole trace stays in memory; a run that keeps
+ * its traces writes them after stop() (core::writeTrace).
  */
 
 #ifndef JAVELIN_CORE_HPM_SAMPLER_HH
 #define JAVELIN_CORE_HPM_SAMPLER_HH
 
 #include "core/component_port.hh"
-#include "core/trace_spool.hh"
 #include "core/traces.hh"
 #include "sim/system.hh"
 
@@ -28,8 +29,6 @@ class HpmSampler
   public:
     struct Config
     {
-        /** Spool sink (non-owning); see Daq::Config::spool. */
-        TraceSpool *spool = nullptr;
         /**
          * CPU cycles charged per sample for the timer ISR that reads
          * the counters (the measurement infrastructure's own
@@ -71,7 +70,6 @@ class HpmSampler
     sim::System::TaskId task_ = 0;
     double isrCostCycles_ = 0.0;
     PerfTrace trace_;
-    TraceSpool *spool_ = nullptr;
     bool stopped_ = false;
     sim::PerfCounters last_;
 };

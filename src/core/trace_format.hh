@@ -6,7 +6,7 @@
  * A trace file is a 32-byte file header followed by framed blocks.
  * Every multi-byte field is little-endian and encoded/decoded with
  * explicit byte shifts, so files are portable across hosts; doubles are
- * stored as their IEEE-754 bit patterns, so a spooled-then-read trace
+ * stored as their IEEE-754 bit patterns, so a written-then-read trace
  * is bit-identical to the in-memory trace it came from.
  *
  * Block frame:

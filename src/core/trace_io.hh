@@ -3,8 +3,8 @@
  * Trace export: write the DAQ power trace and the HPM performance
  * trace as CSV (the format the paper's offline analysis consumed, and
  * what a user needs to plot Fig. 1/6/8-style charts from a javelin
- * run). The binary spool (core/trace_spool.hh) is the format javelin
- * reads back; CSV is export only.
+ * run). The binary javelin-trace-v1 file (core/trace_spool.hh) is the
+ * format javelin reads back; CSV is export only.
  */
 
 #ifndef JAVELIN_CORE_TRACE_IO_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 #include <fcntl.h>
@@ -17,156 +16,112 @@ namespace core {
 using namespace tracefmt;
 
 // ---------------------------------------------------------------------
-// TraceSpool
+// writeTrace
 // ---------------------------------------------------------------------
 
-TraceSpool::TraceSpool(Config config) : config_(std::move(config))
+namespace {
+
+void
+encodeRecord(const PowerSample &s, unsigned char *out)
 {
-    const std::size_t minBytes = kBlockHeaderBytes +
-                                 tracefmt::recordBytes(config_.kind) +
-                                 kBlockFooterBytes;
-    if (config_.bufferBytes < minBytes)
-        config_.bufferBytes = minBytes;
-    block_.resize(config_.bufferBytes);
-    fill_ = kBlockHeaderBytes;
-
-    fd_ = ::open(config_.path.c_str(),
-                 O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-    if (fd_ < 0)
-        throw TraceError("trace spool: cannot create ", config_.path, ": ",
-                         std::strerror(errno));
-
-    unsigned char header[kFileHeaderBytes];
-    encodeFileHeader(config_.kind, header);
-    pwriteAll(header, kFileHeaderBytes);
-    fileOffset_ = kFileHeaderBytes;
-}
-
-TraceSpool::~TraceSpool()
-{
-    // Only an owner that skipped close() leaves a write to fail here.
-    try {
-        close();
-    } catch (const TraceError &e) {
-        JAVELIN_WARN(e.what());
-    }
+    encodePowerRecord(s, out);
 }
 
 void
-TraceSpool::append(const PowerSample &s)
+encodeRecord(const PerfSample &s, unsigned char *out)
 {
-    JAVELIN_ASSERT(config_.kind == RecordKind::Power,
-                   "power append on a perf spool");
-    unsigned char rec[kPowerRecordBytes];
-    encodePowerRecord(s, rec);
-    appendEncoded(s.tick,
-                  1u << static_cast<std::uint32_t>(
-                      componentIndex(s.component)),
-                  rec, kPowerRecordBytes);
+    encodePerfRecord(s, out);
 }
 
+/** pwrite all `len` bytes at `offset`, through EINTR and short writes. */
 void
-TraceSpool::append(const PerfSample &s)
-{
-    JAVELIN_ASSERT(config_.kind == RecordKind::Perf,
-                   "perf append on a power spool");
-    unsigned char rec[kPerfRecordBytes];
-    encodePerfRecord(s, rec);
-    appendEncoded(s.tick,
-                  1u << static_cast<std::uint32_t>(
-                      componentIndex(s.component)),
-                  rec, kPerfRecordBytes);
-}
-
-void
-TraceSpool::appendEncoded(Tick tick, std::uint32_t componentBit,
-                          const unsigned char *rec, std::size_t len)
-{
-    JAVELIN_ASSERT(!closed_, "append on a closed trace spool");
-    if (fill_ + len + kBlockFooterBytes > block_.size())
-        writeBlock();
-    std::memcpy(block_.data() + fill_, rec, len);
-    fill_ += len;
-    if (recordCount_ == 0) {
-        firstTick_ = tick;
-        lastTick_ = tick;
-    } else {
-        firstTick_ = std::min(firstTick_, tick);
-        lastTick_ = std::max(lastTick_, tick);
-    }
-    componentMask_ |= componentBit;
-    ++recordCount_;
-    ++recordsAppended_;
-}
-
-void
-TraceSpool::writeBlock()
-{
-    if (recordCount_ == 0)
-        return;
-
-    const std::size_t payloadBytes = fill_ - kBlockHeaderBytes;
-    encodeBlockHeader(static_cast<std::uint32_t>(payloadBytes),
-                      block_.data());
-    BlockFooter footer;
-    footer.firstTick = firstTick_;
-    footer.lastTick = lastTick_;
-    footer.recordCount = recordCount_;
-    footer.componentMask = componentMask_;
-    footer.payloadCrc =
-        crc32(block_.data() + kBlockHeaderBytes, payloadBytes);
-    encodeBlockFooter(footer, block_.data() + fill_);
-    const std::size_t blockBytes = fill_ + kBlockFooterBytes;
-
-    if (config_.crashAfterBlocks != 0 &&
-        blocksWritten_ + 1 >= config_.crashAfterBlocks) {
-        // Fault injection: tear this block halfway through its
-        // write and die as an external SIGKILL would leave the
-        // file — the torn-tail rule's natural habitat.
-        pwriteAll(block_.data(), blockBytes / 2);
-        std::raise(SIGKILL);
-    }
-    pwriteAll(block_.data(), blockBytes);
-    fileOffset_ += blockBytes;
-    ++blocksWritten_;
-
-    fill_ = kBlockHeaderBytes;
-    recordCount_ = 0;
-    componentMask_ = 0;
-}
-
-void
-TraceSpool::pwriteAll(const unsigned char *data, std::size_t len)
+pwriteAll(int fd, const std::string &path, const unsigned char *data,
+          std::size_t len, std::uint64_t offset)
 {
     std::size_t done = 0;
     while (done < len) {
-        const ssize_t n =
-            ::pwrite(fd_, data + done, len - done,
-                     static_cast<off_t>(fileOffset_ + done));
+        const ssize_t n = ::pwrite(fd, data + done, len - done,
+                                   static_cast<off_t>(offset + done));
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            // A failed write ends the spool, so close() has no more to do.
-            const int error = errno;
-            ::close(fd_);
-            fd_ = -1;
-            closed_ = true;
-            throw TraceError("trace spool: write to ", config_.path,
-                             " failed: ", std::strerror(error));
+            throw TraceError("trace spool: write to ", path,
+                             " failed: ", std::strerror(errno));
         }
         done += static_cast<std::size_t>(n);
     }
 }
 
+template <typename Trace>
 void
-TraceSpool::close()
+writeBlocks(const std::string &path, const Trace &trace, RecordKind kind,
+            std::size_t blockBytes)
 {
-    if (closed_)
-        return;
-    writeBlock();
-    ::close(fd_);
-    fd_ = -1;
-    closed_ = true;
+    const std::size_t recBytes = recordBytes(kind);
+    const std::size_t frameBytes = kBlockHeaderBytes + kBlockFooterBytes;
+    const std::size_t perBlock = std::max<std::size_t>(
+        blockBytes > frameBytes ? (blockBytes - frameBytes) / recBytes : 0,
+        1);
+
+    const int fd =
+        ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+    if (fd < 0)
+        throw TraceError("trace spool: cannot create ", path, ": ",
+                         std::strerror(errno));
+    try {
+        unsigned char header[kFileHeaderBytes];
+        encodeFileHeader(kind, header);
+        pwriteAll(fd, path, header, kFileHeaderBytes, 0);
+        std::uint64_t offset = kFileHeaderBytes;
+
+        std::vector<unsigned char> block(
+            frameBytes + std::min(perBlock, trace.size()) * recBytes);
+        for (std::size_t first = 0; first < trace.size(); first += perBlock) {
+            const std::size_t count = std::min(perBlock, trace.size() - first);
+            BlockFooter footer;
+            footer.firstTick = footer.lastTick = trace[first].tick;
+            footer.recordCount = static_cast<std::uint32_t>(count);
+            unsigned char *rec = block.data() + kBlockHeaderBytes;
+            for (std::size_t i = first; i < first + count; ++i) {
+                encodeRecord(trace[i], rec);
+                rec += recBytes;
+                footer.firstTick = std::min(footer.firstTick, trace[i].tick);
+                footer.lastTick = std::max(footer.lastTick, trace[i].tick);
+                footer.componentMask |=
+                    1u << static_cast<std::uint32_t>(
+                        componentIndex(trace[i].component));
+            }
+            const std::size_t payloadBytes = count * recBytes;
+            encodeBlockHeader(static_cast<std::uint32_t>(payloadBytes),
+                              block.data());
+            footer.payloadCrc =
+                crc32(block.data() + kBlockHeaderBytes, payloadBytes);
+            encodeBlockFooter(footer, rec);
+            pwriteAll(fd, path, block.data(), payloadBytes + frameBytes,
+                      offset);
+            offset += payloadBytes + frameBytes;
+        }
+    } catch (...) {
+        ::close(fd);
+        throw;
+    }
+    ::close(fd);
+}
+
+} // namespace
+
+void
+writeTrace(const std::string &path, const PowerTrace &trace,
+           std::size_t blockBytes)
+{
+    writeBlocks(path, trace, RecordKind::Power, blockBytes);
+}
+
+void
+writeTrace(const std::string &path, const PerfTrace &trace,
+           std::size_t blockBytes)
+{
+    writeBlocks(path, trace, RecordKind::Perf, blockBytes);
 }
 
 // ---------------------------------------------------------------------

@@ -1,20 +1,14 @@
 /**
  * @file
- * Block-buffered trace spooling (DESIGN.md §10).
+ * Writing and reading javelin-trace-v1 files (DESIGN.md §10).
  *
- * TraceSpool takes PowerSample/PerfSample appends on the measured
- * path and encodes them into one fixed-size block buffer. When the
- * next record would not fit, the append that brought it there seals
- * the block and writes it before going on, so capture memory is
- * bounded by that one buffer no matter how long the run is. A failed
- * write throws TraceError from the call that caused it and closes the
- * file. Blocks land on disk in the javelin-trace-v1 format
- * (core/trace_format.hh):
- * framed, CRC-stamped, each carrying a footer index of its tick range
- * and component mask.
- *
- * Every write goes through pwrite(2) (pwriteAll): one write path, the
- * single place a write-failure seam has to wrap.
+ * writeTrace encodes a finished in-memory trace, once, after the run,
+ * into the format of core/trace_format.hh: framed, CRC-stamped blocks,
+ * each carrying a footer index of its tick range and component mask.
+ * Every byte goes through one pwrite(2) loop that retries EINTR and
+ * short writes, the single place a write-failure seam has to wrap. A
+ * failed write throws TraceError and closes the file, which keeps
+ * whatever reached it: a torn tail.
  *
  * TraceReader is the other half: it validates the file, builds the
  * block index from footers alone (no record decoding), recovers a
@@ -38,82 +32,16 @@ namespace javelin {
 namespace core {
 
 /**
- * Writer of javelin-trace-v1 files through one block buffer.
+ * Write `trace` to `path` (created or truncated) as a javelin-trace-v1
+ * file. A block holds (blockBytes - 8 - 32) / recordBytes records, its
+ * frame included, and at least one; only the last block holds fewer.
+ * An empty trace writes a header-only file. Throws TraceError when the
+ * file cannot be created or written.
  */
-class TraceSpool
-{
-  public:
-    struct Config
-    {
-        std::string path;
-        tracefmt::RecordKind kind = tracefmt::RecordKind::Power;
-        /**
-         * Capacity of the block buffer, frame overhead included; also
-         * the on-disk block size. Clamped up so a block always holds
-         * at least one record.
-         */
-        std::size_t bufferBytes = 1 << 20;
-        /**
-         * Fault injection (0 = off): the Nth block write is
-         * deliberately torn — only half its bytes reach the file —
-         * and SIGKILL is raised, leaving exactly the wreckage an
-         * external kill mid-write would. Mirrors
-         * JAVELIN_JOB_CRASH_AFTER; used by the CI kill-mid-spool
-         * smoke and the torn-tail tests.
-         */
-        std::size_t crashAfterBlocks = 0;
-    };
-
-    explicit TraceSpool(Config config);
-    ~TraceSpool();
-
-    TraceSpool(const TraceSpool &) = delete;
-    TraceSpool &operator=(const TraceSpool &) = delete;
-
-    /** Append one power sample (kind must be Power). */
-    void append(const PowerSample &s);
-    /** Append one perf sample (kind must be Perf). */
-    void append(const PerfSample &s);
-
-    /**
-     * Write the partial block and close the file, even when that write
-     * throws. Idempotent; the destructor calls it and warns instead of
-     * throwing. After close() the file is complete and readable.
-     */
-    void close();
-
-    const std::string &path() const { return config_.path; }
-    tracefmt::RecordKind kind() const { return config_.kind; }
-    std::uint64_t recordsAppended() const { return recordsAppended_; }
-
-    /** Blocks fully written to the file so far. */
-    std::uint64_t blocksWritten() const { return blocksWritten_; }
-    /** Bytes written to the file so far, header included. */
-    std::uint64_t bytesWritten() const { return fileOffset_; }
-
-  private:
-    void appendEncoded(Tick tick, std::uint32_t componentBit,
-                       const unsigned char *rec, std::size_t len);
-    /** Seal the block being filled and write it; no-op when empty. */
-    void writeBlock();
-    void pwriteAll(const unsigned char *data, std::size_t len);
-
-    Config config_;
-    int fd_ = -1;
-    std::uint64_t recordsAppended_ = 0;
-
-    /** The block being filled; fill_ starts past its header. */
-    std::vector<unsigned char> block_;
-    std::size_t fill_ = 0;
-    std::uint32_t recordCount_ = 0;
-    Tick firstTick_ = 0;
-    Tick lastTick_ = 0;
-    std::uint32_t componentMask_ = 0;
-
-    bool closed_ = false;
-    std::uint64_t blocksWritten_ = 0;
-    std::uint64_t fileOffset_ = 0;
-};
+void writeTrace(const std::string &path, const PowerTrace &trace,
+                std::size_t blockBytes = 1 << 20);
+void writeTrace(const std::string &path, const PerfTrace &trace,
+                std::size_t blockBytes = 1 << 20);
 
 /**
  * Reader/recovery side of javelin-trace-v1 files.

@@ -4,9 +4,9 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
-#include <memory>
 
 #include "core/energy_accounting.hh"
+#include "core/trace_spool.hh"
 #include "util/logging.hh"
 
 namespace javelin {
@@ -18,9 +18,9 @@ ExperimentResult::error() const
     if (failed)
         return failMessage.empty() ? "harness failure" : failMessage;
     if (run.outOfMemory)
-        return "out of memory";
+        return kOutOfMemoryError;
     if (run.stackOverflow)
-        return "stack overflow";
+        return kStackOverflowError;
     return "";
 }
 
@@ -105,9 +105,10 @@ struct Rig
 
     /**
      * Attach the instruments, run `step` (it fills the run's own
-     * fields), stop the instruments in order and fill every measured
-     * field. Attached after the VMs, the instruments' tasks follow the
-     * VMs' adaptive samplers and their observers follow a TenantSet's.
+     * fields), stop the instruments in order, write their traces when
+     * traceSpoolDir is set, and fill every measured field. Attached
+     * after the VMs, the instruments' tasks follow the VMs' adaptive
+     * samplers and their observers follow a TenantSet's.
      */
     ExperimentResult
     measure(const std::string &benchmark,
@@ -124,23 +125,6 @@ struct Rig
         daqCfg.memSense.seed = config.seed * 31 + 2;
         core::HpmSampler::Config hpmCfg;
         hpmCfg.isrCostCycles = config.hpmIsrCostCycles;
-        // Optional trace capture (tee: the in-memory traces still feed
-        // attribution, the spools persist them without touching the
-        // measured path's results).
-        std::unique_ptr<core::TraceSpool> powerSpool, perfSpool;
-        if (!config.traceSpoolDir.empty()) {
-            std::filesystem::create_directories(config.traceSpoolDir);
-            const std::string stem = config.traceSpoolDir + "/" + benchmark;
-            core::TraceSpool::Config sp;
-            sp.path = stem + ".power.jtrc";
-            sp.kind = core::tracefmt::RecordKind::Power;
-            powerSpool = std::make_unique<core::TraceSpool>(sp);
-            sp.path = stem + ".perf.jtrc";
-            sp.kind = core::tracefmt::RecordKind::Perf;
-            perfSpool = std::make_unique<core::TraceSpool>(sp);
-            daqCfg.spool = powerSpool.get();
-            hpmCfg.spool = perfSpool.get();
-        }
         core::Daq daq(system, port, daqCfg);
         core::HpmSampler hpm(system, port, hpmCfg);
         core::GroundTruthAccountant truth(system, port);
@@ -151,9 +135,13 @@ struct Rig
         // totals conserve the run's full energy/counter deltas.
         daq.stop();
         hpm.stop();
-        if (powerSpool) {
-            powerSpool->close();
-            perfSpool->close();
+        // Trace capture is host I/O on the finished traces, so it
+        // cannot move a measured number.
+        if (!config.traceSpoolDir.empty()) {
+            std::filesystem::create_directories(config.traceSpoolDir);
+            const std::string stem = config.traceSpoolDir + "/" + benchmark;
+            core::writeTrace(stem + ".power.jtrc", daq.trace());
+            core::writeTrace(stem + ".perf.jtrc", hpm.trace());
         }
         res.counters = system.counters();
 

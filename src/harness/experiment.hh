@@ -103,15 +103,23 @@ struct ExperimentConfig
 
     /**
      * Host-side trace capture: when non-empty, the run's power and
-     * perf traces are also spooled to
+     * perf traces are written, once the instruments stop, to
      * <dir>/<benchmark>.power.jtrc and <dir>/<benchmark>.perf.jtrc
      * (javelin-trace-v1; inspect with the javelin-trace CLI). Pure
      * host I/O — the simulation, its seeds, and every measured number
      * are unchanged, which is why this knob is deliberately NOT part
-     * of the scenario serialization or its hash.
+     * of the scenario serialization or its hash. A run whose step
+     * throws writes neither file.
      */
     std::string traceSpoolDir;
 };
+
+/**
+ * ExperimentResult::error() of a run that ran out of heap or stack: a
+ * simulated outcome, a result of the experiment, not a failure of it.
+ */
+inline constexpr const char *kOutOfMemoryError = "out of memory";
+inline constexpr const char *kStackOverflowError = "stack overflow";
 
 /**
  * Everything measured in one run.
@@ -156,9 +164,9 @@ struct ExperimentResult
 
     /**
      * Why the run is not ok(), "" when it is: failMessage ("harness
-     * failure" if that is empty), else "out of memory" or "stack
-     * overflow". The one failure text every sweep front end journals
-     * and reports.
+     * failure" if that is empty), else kOutOfMemoryError or
+     * kStackOverflowError. The one failure text every sweep front end
+     * journals and reports.
      */
     std::string error() const;
 

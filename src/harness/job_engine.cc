@@ -110,6 +110,30 @@ parseRecordLine(const std::string &path, const json::Value &v,
     return rec;
 }
 
+/** Validate the journal's header line against the sweep. */
+void
+checkHeader(const std::string &path, const json::Value &v,
+            std::size_t shard_total, const std::string &scenario_hash)
+{
+    const json::Value *schema = v.find("schema");
+    const json::Value *hash = v.find("scenario_hash");
+    const json::Value *shards = v.find("shards");
+    if (!schema || schema->asString() != kJournalSchema)
+        journalError(path, "missing or unsupported journal schema");
+    if (!hash)
+        journalError(path, "header missing scenario_hash");
+    if (hash->asString() != scenario_hash)
+        journalError(path, "was written for scenario hash " +
+                               hash->asString() +
+                               " but this sweep hashes to " +
+                               scenario_hash +
+                               "; refusing to merge (delete the "
+                               "checkpoint or fix the scenario)");
+    if (!shards || shards->asU64() != shard_total)
+        journalError(path,
+                     "header shard count does not match the sweep");
+}
+
 struct LoadedJournal
 {
     /** Valid records, last-write-wins per shard. */
@@ -137,6 +161,7 @@ loadJournal(const std::string &path,
 
     LoadedJournal out;
     std::size_t pos = 0;
+    std::size_t lineNo = 0;
     bool sawHeader = false;
     while (pos < text.size()) {
         const std::size_t nl = text.find('\n', pos);
@@ -145,6 +170,7 @@ loadJournal(const std::string &path,
             text.substr(pos, lastLine ? std::string::npos : nl - pos);
         const std::size_t lineStart = pos;
         pos = lastLine ? text.size() : nl + 1;
+        ++lineNo;
         if (line.empty())
             continue;
 
@@ -164,41 +190,30 @@ loadJournal(const std::string &path,
                                "of the file)");
         }
 
-        if (!sawHeader) {
-            const json::Value *schema = v.find("schema");
-            const json::Value *hash = v.find("scenario_hash");
-            const json::Value *shards = v.find("shards");
-            if (!schema || schema->asString() != kJournalSchema)
-                journalError(path, "missing or unsupported journal "
-                                   "schema");
-            if (!hash)
-                journalError(path, "header missing scenario_hash");
-            if (hash->asString() != scenario_hash)
-                journalError(
-                    path,
-                    "was written for scenario hash " + hash->asString() +
-                        " but this sweep hashes to " + scenario_hash +
-                        "; refusing to merge (delete the checkpoint "
-                        "or fix the scenario)");
-            if (!shards || shards->asU64() != tasks.size())
-                journalError(path,
-                             "header shard count does not match the "
-                             "sweep");
-            sawHeader = true;
-            out.intactBytes = pos;
-            continue;
+        // A line that parses is complete, wherever it is, so a field of
+        // the wrong type is corruption, never a tear. The parser numbers
+        // every line 1; name the journal's line instead.
+        try {
+            if (!sawHeader) {
+                checkHeader(path, v, tasks.size(), scenario_hash);
+                sawHeader = true;
+            } else {
+                ShardRecord rec = parseRecordLine(path, v, tasks.size());
+                const std::string expected = shardKey(tasks[rec.shard]);
+                if (rec.key != expected)
+                    journalError(path, "record for shard " +
+                                           std::to_string(rec.shard) +
+                                           " has key \"" + rec.key +
+                                           "\" but the sweep expects \"" +
+                                           expected + "\"");
+                // Duplicate shard records: last-write-wins.
+                out.records[rec.shard] = std::move(rec);
+            }
+        } catch (const json::ParseError &e) {
+            const std::string what = e.what();
+            journalError(path, "journal line " + std::to_string(lineNo) +
+                                   what.substr(what.find(':')));
         }
-
-        ShardRecord rec = parseRecordLine(path, v, tasks.size());
-        const std::string expected = shardKey(tasks[rec.shard]);
-        if (rec.key != expected)
-            journalError(path, "record for shard " +
-                                   std::to_string(rec.shard) +
-                                   " has key \"" + rec.key +
-                                   "\" but the sweep expects \"" +
-                                   expected + "\"");
-        // Duplicate shard records: last-write-wins.
-        out.records[rec.shard] = std::move(rec);
         out.intactBytes = pos;
     }
     if (!sawHeader && !text.empty())

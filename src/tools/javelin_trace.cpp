@@ -14,19 +14,17 @@
  *                                          [FROM, TO] as CSV, using
  *                                          the block index to skip
  *
- *   javelin-trace record [options]         synthetic spool writer for
- *                                          smoke tests and RSS checks
+ *   javelin-trace record [options]         write a synthetic trace
+ *                                          with core::writeTrace, for
+ *                                          smoke tests
  *     --kind power|perf        record type (default power)
- *     --samples N              records to append (default 100000)
- *     --buffer-bytes B         spool block size (default 1 MiB)
+ *     --samples N              records to write (default 100000)
+ *     --buffer-bytes B         block size (default 1 MiB)
  *     --out FILE               trace path (default trace.jtrc)
- *     --csv-oracle FILE        also keep samples in memory and write
- *                              them via the CSV writer (the
- *                              differential oracle; small N only)
- *     --crash-after-blocks K   tear the K-th block and SIGKILL
- *     --print-rss              print max RSS (KB) on stderr at exit
+ *     --csv-oracle FILE        also write the samples via the CSV
+ *                              writer (the differential oracle)
  *
- * Numeric arguments (N, B, K, FROM, TO) are non-negative decimal
+ * Numeric arguments (N, B, FROM, TO) are non-negative decimal
  * integers; anything else is a usage error.
  *
  * The synthetic sample stream is a pure function of the record index,
@@ -37,8 +35,6 @@
  * TraceError is printed as "javelin-trace: <message>"); 2 usage errors
  * and output files that cannot be opened.
  */
-
-#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdlib>
@@ -70,9 +66,7 @@ usage()
            "                            [--samples N] "
            "[--buffer-bytes B]\n"
            "                            [--out FILE] "
-           "[--csv-oracle FILE]\n"
-           "                            [--crash-after-blocks K] "
-           "[--print-rss]\n";
+           "[--csv-oracle FILE]\n";
     return 2;
 }
 
@@ -131,10 +125,9 @@ cmdRecord(int argc, char **argv)
 {
     tracefmt::RecordKind kind = tracefmt::RecordKind::Power;
     std::uint64_t samples = 100000;
-    TraceSpool::Config cfg;
-    cfg.path = "trace.jtrc";
+    std::uint64_t blockBytes = 1 << 20;
+    std::string path = "trace.jtrc";
     std::string oraclePath;
-    bool printRss = false;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -152,72 +145,43 @@ cmdRecord(int argc, char **argv)
             if (!SweepRunner::parseCount(argv[++i], samples))
                 return usage();
         } else if (arg == "--buffer-bytes" && i + 1 < argc) {
-            std::uint64_t bytes = 0;
-            if (!SweepRunner::parseCount(argv[++i], bytes))
+            if (!SweepRunner::parseCount(argv[++i], blockBytes))
                 return usage();
-            cfg.bufferBytes = bytes;
         } else if (arg == "--out" && i + 1 < argc) {
-            cfg.path = argv[++i];
+            path = argv[++i];
         } else if (arg == "--csv-oracle" && i + 1 < argc) {
             oraclePath = argv[++i];
-        } else if (arg == "--crash-after-blocks" && i + 1 < argc) {
-            std::uint64_t blocks = 0;
-            if (!SweepRunner::parseCount(argv[++i], blocks))
-                return usage();
-            cfg.crashAfterBlocks = blocks;
-        } else if (arg == "--print-rss") {
-            printRss = true;
         } else {
             return usage();
         }
     }
-    cfg.kind = kind;
 
-    // Oracle mode keeps every sample in memory (that IS the oracle);
-    // plain mode must not, so the RSS check measures the spool alone.
-    PowerTrace oraclePower;
-    PerfTrace oraclePerf;
-    {
-        TraceSpool spool(cfg);
-        for (std::uint64_t i = 0; i < samples; ++i) {
-            if (kind == tracefmt::RecordKind::Power) {
-                const PowerSample s = syntheticPower(i);
-                spool.append(s);
-                if (!oraclePath.empty())
-                    oraclePower.push_back(s);
-            } else {
-                const PerfSample s = syntheticPerf(i);
-                spool.append(s);
-                if (!oraclePath.empty())
-                    oraclePerf.push_back(s);
-            }
-        }
-        spool.close();
-        std::cerr << "javelin-trace: wrote " << spool.path() << ": "
-                  << spool.recordsAppended() << " records, "
-                  << spool.blocksWritten() << " blocks, "
-                  << spool.bytesWritten() << " bytes\n";
-    }
-
+    std::ofstream oracle;
     if (!oraclePath.empty()) {
-        std::ofstream out(oraclePath, std::ios::binary);
-        if (!out) {
+        oracle.open(oraclePath, std::ios::binary);
+        if (!oracle) {
             std::cerr << "javelin-trace: cannot open " << oraclePath
                       << "\n";
             return 2;
         }
-        if (kind == tracefmt::RecordKind::Power)
-            writePowerCsv(out, oraclePower);
-        else
-            writePerfCsv(out, oraclePerf);
     }
-
-    if (printRss) {
-        struct rusage ru;
-        getrusage(RUSAGE_SELF, &ru);
-        std::cerr << "javelin-trace: max_rss_kb=" << ru.ru_maxrss
-                  << "\n";
+    if (kind == tracefmt::RecordKind::Power) {
+        PowerTrace trace;
+        for (std::uint64_t i = 0; i < samples; ++i)
+            trace.push_back(syntheticPower(i));
+        writeTrace(path, trace, blockBytes);
+        if (oracle.is_open())
+            writePowerCsv(oracle, trace);
+    } else {
+        PerfTrace trace;
+        for (std::uint64_t i = 0; i < samples; ++i)
+            trace.push_back(syntheticPerf(i));
+        writeTrace(path, trace, blockBytes);
+        if (oracle.is_open())
+            writePerfCsv(oracle, trace);
     }
+    std::cerr << "javelin-trace: wrote " << path << ": " << samples
+              << " records\n";
     return 0;
 }
 

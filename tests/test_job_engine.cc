@@ -338,6 +338,86 @@ TEST(JobEngine, CorruptionBeforeTheTailIsRefused)
     }
 }
 
+/**
+ * Journal lines that parse but carry a field of the wrong type. A line
+ * that parses is complete, so even as the last line it is corruption,
+ * not a tear: every mutant is refused both mid-file and at the tail,
+ * as a JobEngineError naming the journal line. The header mutants are
+ * "at the tail" in a journal that holds only its header.
+ */
+TEST(JobEngine, MistypedFieldIsRefusedMidFileAndAtTheTail)
+{
+    const Scenario scenario = testScenario();
+    const auto tasks = expandScenario(scenario);
+    const std::string hash = scenarioHash(scenario);
+    const fs::path dir = scratchDir("mistyped");
+    const std::string ckpt = (dir / "journal.jsonl").string();
+
+    JobEngine::Config cfg;
+    cfg.jobs = 1;
+    cfg.execute = syntheticResult;
+    cfg.checkpointPath = ckpt;
+    JobEngine(cfg).run(tasks, scenario.name, hash);
+    std::vector<std::string> lines;
+    {
+        std::istringstream in(readFileBytes(ckpt));
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), tasks.size() + 1);
+
+    const struct
+    {
+        bool header;
+        std::string key;
+        std::string value;
+        std::string error;
+    } mutants[] = {
+        {false, "metrics", "[\"x\"", "expected a number, got string"},
+        {false, "ok", "\"yes\"", "expected a boolean, got string"},
+        {false, "shard", "-1", "expected a non-negative integer"},
+        {false, "key", "5", "expected a string, got number"},
+        {true, "scenario_hash", "5", "expected a string, got number"},
+        {true, "shards", "2.5", "expected a non-negative integer"},
+    };
+    cfg.resume = true;
+    for (const auto &m : mutants) {
+        for (const bool tail : {false, true}) {
+            SCOPED_TRACE(m.key + (tail ? " at the tail" : " mid-file"));
+            // The line to mutate, and the journal's length after it.
+            const std::size_t at =
+                m.header ? 0 : tail ? lines.size() - 1 : lines.size() / 2;
+            const std::size_t keep = m.header && tail ? 1 : lines.size();
+            std::string bytes;
+            for (std::size_t i = 0; i < keep; ++i) {
+                std::string line = lines[i];
+                if (i == at) {
+                    // Replace the value up to the next ',' or '}'.
+                    const std::string field = "\"" + m.key + "\": ";
+                    const std::size_t from = line.find(field);
+                    ASSERT_NE(from, std::string::npos) << line;
+                    const std::size_t start = from + field.size();
+                    const std::size_t end = line.find_first_of(",}", start);
+                    line.replace(start, end - start, m.value);
+                }
+                bytes += line + "\n";
+            }
+            std::ofstream(ckpt, std::ios::binary | std::ios::trunc)
+                << bytes;
+            try {
+                JobEngine(cfg).run(tasks, scenario.name, hash);
+                ADD_FAILURE() << "mistyped journal accepted";
+            } catch (const JobEngineError &e) {
+                EXPECT_PRED_FORMAT2(
+                    testing::IsSubstring,
+                    "checkpoint " + ckpt + ": journal line " +
+                        std::to_string(at + 1) + ": " + m.error,
+                    e.what());
+            }
+        }
+    }
+}
+
 TEST(JobEngine, StaleScenarioHashIsRefused)
 {
     const Scenario scenario = testScenario();

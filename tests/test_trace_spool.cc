@@ -1,16 +1,17 @@
 /**
  * @file
- * Tests for the trace spool and the javelin-trace-v1 binary format:
+ * Tests for core::writeTrace and the javelin-trace-v1 binary format:
  * the CRC-32 against its bitwise definition, bit-identical
- * spooled-vs-in-memory round trips (differential fuzz across block
- * sizes), torn-tail recovery, mid-file corruption refusal,
- * fault-injected crashes, failed writes, and the Daq/HpmSampler spool
- * plumbing. Every failure is a TraceError, and no throwing constructor
- * or close() leaves its file open.
+ * written-vs-in-memory round trips (differential fuzz across block
+ * sizes, with the sealing rule checked block by block), the
+ * header-only empty trace, range reads, torn-tail recovery, mid-file
+ * corruption refusal and failed writes. Every failure is a TraceError,
+ * and nothing that throws leaves its file open.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -20,17 +21,12 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "core/component_port.hh"
-#include "core/daq.hh"
-#include "core/hpm_sampler.hh"
 #include "core/trace_format.hh"
 #include "core/trace_spool.hh"
 #include "scratch_dir.hh"
-#include "sim/platform.hh"
 
 using namespace javelin;
 using namespace javelin::core;
-using sim::System;
 
 namespace {
 
@@ -118,20 +114,17 @@ expectPerfEq(const PerfTrace &a, const PerfTrace &b)
     }
 }
 
-/** Spool `count` synthetic power samples and return the oracle. */
+/** Write `count` synthetic power samples and return them. */
 PowerTrace
-spoolPower(const TraceSpool::Config &cfg, std::uint64_t count)
+writePower(const fs::path &path, std::uint64_t count,
+           std::size_t blockBytes = 1 << 20)
 {
-    PowerTrace oracle;
-    oracle.reserve(count);
-    TraceSpool spool(cfg);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const PowerSample s = synthPower(i);
-        spool.append(s);
-        oracle.push_back(s);
-    }
-    spool.close();
-    return oracle;
+    PowerTrace trace;
+    trace.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        trace.push_back(synthPower(i));
+    writeTrace(path.string(), trace, blockBytes);
+    return trace;
 }
 
 /** Require `fn` to throw a TraceError whose message contains `text`. */
@@ -195,89 +188,122 @@ TEST(TraceFormat, Crc32MatchesBitwiseDefinition)
               tracefmt::crc32(buf.data(), buf.size()));
 }
 
-TEST(TraceSpool, PowerRoundTripIsBitIdentical)
+TEST(TraceWrite, PowerRoundTripIsBitIdentical)
 {
-    const fs::path dir = scratchDir("power_rt");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    const PowerTrace oracle = spoolPower(cfg, 10000);
+    const fs::path path = scratchDir("power_rt") / "t.jtrc";
+    const PowerTrace oracle = writePower(path, 10000);
 
-    TraceReader reader(cfg.path);
+    TraceReader reader(path.string());
     EXPECT_EQ(reader.kind(), tracefmt::RecordKind::Power);
     EXPECT_FALSE(reader.torn());
     EXPECT_EQ(reader.recordCount(), oracle.size());
     expectPowerEq(reader.readPower(), oracle);
 }
 
-TEST(TraceSpool, PerfRoundTripIsBitIdentical)
+TEST(TraceWrite, PerfRoundTripIsBitIdentical)
 {
-    const fs::path dir = scratchDir("perf_rt");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.kind = tracefmt::RecordKind::Perf;
-    cfg.bufferBytes = 1 << 14;
-
+    const fs::path path = scratchDir("perf_rt") / "t.jtrc";
     PerfTrace oracle;
-    {
-        TraceSpool spool(cfg);
-        for (std::uint64_t i = 0; i < 20000; ++i) {
-            const PerfSample s = synthPerf(i);
-            spool.append(s);
-            oracle.push_back(s);
-        }
-        spool.close();
-    }
-    TraceReader reader(cfg.path);
+    for (std::uint64_t i = 0; i < 20000; ++i)
+        oracle.push_back(synthPerf(i));
+    writeTrace(path.string(), oracle, 1 << 14);
+
+    TraceReader reader(path.string());
     EXPECT_EQ(reader.kind(), tracefmt::RecordKind::Perf);
+    EXPECT_GT(reader.blocks().size(), 1u);
     expectPerfEq(reader.readPerf(), oracle);
 }
 
 /**
  * The differential fuzz: one synthetic stream (> 1M samples over the
- * matrix) spooled at every block size from the minimum (one record
+ * matrix) written at every block size from the minimum (one record
  * per block) to the 1 MiB default. Every decode must be bit-identical
- * to the in-memory oracle.
+ * to the in-memory oracle, and every block must follow the sealing
+ * rule: (blockBytes - 8 - 32) / 40 records, at least one, fewer only
+ * in the last block, each footer holding its records' tick range and
+ * component mask.
  */
-TEST(TraceSpool, DifferentialFuzzAcrossBlockSizes)
+TEST(TraceWrite, DifferentialFuzzAcrossBlockSizes)
 {
     const fs::path dir = scratchDir("fuzz");
     struct Case
     {
-        std::size_t bufferBytes;
+        std::size_t blockBytes;
         std::uint64_t samples;
+        std::uint64_t perBlock;
     };
     const Case cases[] = {
-        {1, 20000},       // clamped to one record per block
-        {256, 20000},     // tiny blocks
-        {1 << 10, 50000}, //
-        {1 << 12, 50000}, //
-        {1 << 16, 400000},
-        {1 << 20, 600000}, // default-sized blocks, bulk volume
+        {1, 20000, 1},         // smaller than one record's frame
+        {80, 20000, 1},        // exactly one record's frame
+        {256, 20000, 5},       // tiny blocks
+        {1 << 10, 50000, 24},  //
+        {1 << 12, 50000, 101}, //
+        {1 << 16, 400000, 1637},
+        {1 << 20, 600000, 26213}, // default-sized blocks, bulk volume
     };
     std::size_t n = 0;
     std::uint64_t total = 0;
     for (const auto &c : cases) {
-        TraceSpool::Config cfg;
-        cfg.path = (dir / ("f" + std::to_string(n++))).string();
-        cfg.bufferBytes = c.bufferBytes;
-        const PowerTrace oracle = spoolPower(cfg, c.samples);
+        SCOPED_TRACE(testing::Message() << "block bytes " << c.blockBytes);
+        const fs::path path = dir / ("f" + std::to_string(n++));
+        const PowerTrace oracle = writePower(path, c.samples, c.blockBytes);
         total += c.samples;
-        TraceReader reader(cfg.path);
+        TraceReader reader(path.string());
         ASSERT_FALSE(reader.torn());
         expectPowerEq(reader.readPower(), oracle);
+
+        const auto &blocks = reader.blocks();
+        ASSERT_EQ(blocks.size(), (c.samples + c.perBlock - 1) / c.perBlock);
+        std::uint64_t first = 0;
+        for (const auto &b : blocks) {
+            const std::uint64_t count =
+                std::min(c.perBlock, c.samples - first);
+            ASSERT_EQ(b.recordCount, count) << "block at " << b.offset;
+            Tick lo = oracle[first].tick, hi = lo;
+            std::uint32_t mask = 0;
+            for (std::uint64_t i = first; i < first + count; ++i) {
+                lo = std::min(lo, oracle[i].tick);
+                hi = std::max(hi, oracle[i].tick);
+                mask |= 1u << componentIndex(oracle[i].component);
+            }
+            ASSERT_EQ(b.firstTick, lo) << "block at " << b.offset;
+            ASSERT_EQ(b.lastTick, hi) << "block at " << b.offset;
+            ASSERT_EQ(b.componentMask, mask) << "block at " << b.offset;
+            first += count;
+        }
+        EXPECT_EQ(fs::file_size(path), reader.intactBytes());
     }
     EXPECT_GE(total, 1000000u) << "fuzz volume fell below the 1M floor";
 }
 
-TEST(TraceSpool, RangeReadsMatchFilteredFullRead)
+TEST(TraceWrite, EmptyTraceIsAHeaderOnlyFile)
 {
-    const fs::path dir = scratchDir("range");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.bufferBytes = 1 << 12;
-    const PowerTrace oracle = spoolPower(cfg, 30000);
+    const fs::path dir = scratchDir("empty");
+    writeTrace((dir / "power.jtrc").string(), PowerTrace());
+    writeTrace((dir / "perf.jtrc").string(), PerfTrace());
+    for (const char *name : {"power.jtrc", "perf.jtrc"}) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(fs::file_size(dir / name), tracefmt::kFileHeaderBytes);
+        TraceReader reader((dir / name).string());
+        EXPECT_FALSE(reader.torn());
+        EXPECT_EQ(reader.blocks().size(), 0u);
+        EXPECT_EQ(reader.recordCount(), 0u);
+    }
+    EXPECT_EQ(TraceReader((dir / "power.jtrc").string()).kind(),
+              tracefmt::RecordKind::Power);
+    EXPECT_TRUE(TraceReader((dir / "power.jtrc").string())
+                    .readPower()
+                    .empty());
+    EXPECT_TRUE(
+        TraceReader((dir / "perf.jtrc").string()).readPerf().empty());
+}
 
-    TraceReader reader(cfg.path);
+TEST(TraceWrite, RangeReadsMatchFilteredFullRead)
+{
+    const fs::path path = scratchDir("range") / "t.jtrc";
+    const PowerTrace oracle = writePower(path, 30000, 1 << 12);
+
+    TraceReader reader(path.string());
     ASSERT_GT(reader.blocks().size(), 4u);
     const Tick from = oracle[10000].tick;
     const Tick to = oracle[12345].tick;
@@ -291,18 +317,16 @@ TEST(TraceSpool, RangeReadsMatchFilteredFullRead)
     expectPowerEq(reader.readPowerRange(0, ~Tick(0)), oracle);
 }
 
-TEST(TraceSpool, TornTailIsDroppedAtEveryTruncationPoint)
+TEST(TraceWrite, TornTailIsDroppedAtEveryTruncationPoint)
 {
     const fs::path dir = scratchDir("torn");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.bufferBytes = 1 << 12;
-    const PowerTrace oracle = spoolPower(cfg, 5000);
-    const std::vector<char> whole = readFile(cfg.path);
+    const fs::path path = dir / "t.jtrc";
+    const PowerTrace oracle = writePower(path, 5000, 1 << 12);
+    const std::vector<char> whole = readFile(path);
 
     std::vector<TraceReader::BlockInfo> blocks;
     {
-        TraceReader reader(cfg.path);
+        TraceReader reader(path.string());
         blocks = reader.blocks();
         ASSERT_GT(blocks.size(), 3u);
     }
@@ -348,17 +372,15 @@ TEST(TraceSpool, TornTailIsDroppedAtEveryTruncationPoint)
     }
 }
 
-TEST(TraceSpool, MidFileCorruptionIsRefused)
+TEST(TraceWrite, MidFileCorruptionIsRefused)
 {
     const fs::path dir = scratchDir("corrupt");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.bufferBytes = 1 << 12;
-    spoolPower(cfg, 5000);
-    const std::vector<char> whole = readFile(cfg.path);
+    const fs::path path = dir / "t.jtrc";
+    writePower(path, 5000, 1 << 12);
+    const std::vector<char> whole = readFile(path);
     std::vector<TraceReader::BlockInfo> blocks;
     {
-        TraceReader reader(cfg.path);
+        TraceReader reader(path.string());
         blocks = reader.blocks();
         ASSERT_GT(blocks.size(), 3u);
     }
@@ -398,58 +420,38 @@ TEST(TraceSpool, MidFileCorruptionIsRefused)
     EXPECT_EQ(openFds(), fds);
 }
 
-TEST(TraceSpool, CrashInjectionTearsTheFileMidBlock)
-{
-    const fs::path dir = scratchDir("crash");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.bufferBytes = 1 << 12;
-    cfg.crashAfterBlocks = 3;
-
-    EXPECT_EXIT(spoolPower(cfg, 5000),
-                testing::KilledBySignal(SIGKILL), "");
-
-    // The death test ran in a child; the wreckage is on disk: two
-    // intact blocks and a half-written third.
-    TraceReader reader(cfg.path);
-    EXPECT_TRUE(reader.torn());
-    EXPECT_EQ(reader.blocks().size(), 2u);
-    std::uint64_t intactRecords = reader.recordCount();
-    ASSERT_GT(intactRecords, 0u);
-    PowerTrace expected;
-    for (std::uint64_t i = 0; i < intactRecords; ++i)
-        expected.push_back(synthPower(i));
-    expectPowerEq(reader.readPower(), expected);
-}
-
 /**
- * Every write that fails throws TraceError and closes the file: the
- * header, written by the constructor; a block, written by the append
- * that sealed it; and the last block, written by close() or, for a
- * spool its owner never closed, by the destructor, which warns instead.
- * The child caps its file size at the header plus two 4 KiB blocks
- * (32 + 2 x 4080 bytes), so a third block's write fails with EFBIG;
- * SIGXFSZ is ignored so the write returns the error instead of killing
- * the process.
+ * A write that fails throws TraceError and closes the file: the file
+ * cannot be created (a directory holds the path), the header write
+ * fails (/dev/full), or a block write fails. For the last, a forked
+ * child caps its file size at the header plus two 4 KiB blocks
+ * (32 + 2 x 4080 bytes), so the third block of a three-block trace
+ * fails with EFBIG; SIGXFSZ is ignored so the write returns the error
+ * instead of killing the process. What reached the file reads back as
+ * its first two blocks.
  */
-TEST(TraceSpool, FailedBlockWriteThrowsFromTheSealingAppend)
+TEST(TraceWrite, FailedWriteThrowsAndClosesTheFile)
 {
-    ASSERT_TRUE(fs::is_character_file("/dev/full"));
+    const fs::path dir = scratchDir("failed");
+    const PowerTrace one = {synthPower(0)};
     const std::size_t fds = openFds();
-    expectTraceError([] { TraceSpool spool({"/dev/full"}); },
+    fs::create_directories(dir / "blocked");
+    expectTraceError(
+        [&] { writeTrace((dir / "blocked").string(), one); },
+        "trace spool: cannot create " + (dir / "blocked").string() +
+            ": Is a directory");
+    ASSERT_TRUE(fs::is_character_file("/dev/full"));
+    expectTraceError([&] { writeTrace("/dev/full", one); },
                      "trace spool: write to /dev/full failed: No space");
     EXPECT_EQ(openFds(), fds);
 
-    const fs::path dir = scratchDir("efbig");
-    const auto in = [&dir](const char *name) {
-        return TraceSpool::Config{(dir / name).string(),
-                                  tracefmt::RecordKind::Power, 4096};
-    };
-    // 101 records per block, so append 3 * 101 (from 0) seals the
-    // third block.
     const std::uint64_t perBlock =
         (4096 - tracefmt::kBlockHeaderBytes - tracefmt::kBlockFooterBytes) /
         tracefmt::kPowerRecordBytes;
+    PowerTrace trace;
+    for (std::uint64_t i = 0; i < 3 * perBlock; ++i)
+        trace.push_back(synthPower(i));
+    const std::string capped = (dir / "capped.jtrc").string();
     EXPECT_EXIT(
         {
             std::signal(SIGXFSZ, SIG_IGN);
@@ -457,102 +459,21 @@ TEST(TraceSpool, FailedBlockWriteThrowsFromTheSealingAppend)
             limit.rlim_cur = limit.rlim_max = 8192;
             ::setrlimit(RLIMIT_FSIZE, &limit);
             const std::size_t childFds = openFds();
-            {
-                TraceSpool sealed(in("sealed"));
-                TraceSpool closed(in("closed"));
-                TraceSpool dropped(in("dropped"));
-                std::uint64_t i = 0;
-                try {
-                    for (; i <= 3 * perBlock; ++i)
-                        sealed.append(synthPower(i));
-                } catch (const TraceError &e) {
-                    std::fprintf(stderr, "append %d: %s\n",
-                                 static_cast<int>(i), e.what());
-                }
-                for (i = 0; i <= 2 * perBlock; ++i) {
-                    closed.append(synthPower(i));
-                    dropped.append(synthPower(i));
-                }
-                try {
-                    closed.close();
-                } catch (const TraceError &e) {
-                    std::fprintf(stderr, "close: %s\n", e.what());
-                }
+            try {
+                writeTrace(capped, trace, 4096);
+            } catch (const TraceError &e) {
+                std::fprintf(stderr, "%s\n", e.what());
+                ::_exit(openFds() == childFds ? 1 : 4);
             }
-            ::_exit(openFds() == childFds ? 1 : 4);
+            ::_exit(3);
         },
         testing::ExitedWithCode(1),
-        "append " + std::to_string(3 * perBlock) +
-            ": .*File too large.*close: .*File too large.*"
-            "warn: trace spool: write to .*dropped failed");
-}
-
-TEST(TraceSpool, DaqTeeModeSpoolsBitIdenticalTrace)
-{
-    const fs::path dir = scratchDir("daq_tee");
-    auto spec = sim::p6Spec();
-    TraceSpool::Config sp;
-    sp.path = (dir / "power.jtrc").string();
-    sp.bufferBytes = 1 << 12;
-    TraceSpool spool(sp);
-
-    System sys(spec);
-    core::ComponentPort port(sys);
-    Daq::Config cfg;
-    cfg.spool = &spool;
-    Daq daq(sys, port, cfg);
-    std::uint64_t i = 0;
-    while (sys.cpu().now() < 20 * kTicksPerMilli) {
-        if (++i % 5 == 0)
-            port.rawWrite(static_cast<ComponentId>(i % kNumComponents));
-        sys.cpu().execute(200, 0x1000 + (i % 64) * 64, 64);
-        sys.poll();
-    }
-    spool.close();
-
-    ASSERT_FALSE(daq.trace().empty());
-    TraceReader reader(sp.path);
-    expectPowerEq(reader.readPower(), daq.trace());
-}
-
-TEST(TraceSpool, HpmSamplerSpoolsBitIdenticalPerfTrace)
-{
-    const fs::path dir = scratchDir("hpm_tee");
-    TraceSpool::Config sp;
-    sp.path = (dir / "perf.jtrc").string();
-    sp.kind = tracefmt::RecordKind::Perf;
-    TraceSpool spool(sp);
-
-    System sys(sim::p6Spec());
-    core::ComponentPort port(sys);
-    core::HpmSampler::Config cfg;
-    cfg.spool = &spool;
-    core::HpmSampler hpm(sys, port, cfg);
-    std::uint64_t i = 0;
-    while (sys.cpu().now() < 30 * kTicksPerMilli) {
-        if (++i % 3 == 0)
-            port.rawWrite(static_cast<ComponentId>(i % kNumComponents));
-        sys.cpu().execute(400, 0x8000 + (i % 128) * 64, 64);
-        sys.poll();
-    }
-    spool.close();
-
-    ASSERT_FALSE(hpm.trace().empty());
-    TraceReader reader(sp.path);
-    EXPECT_EQ(reader.kind(), tracefmt::RecordKind::Perf);
-    expectPerfEq(reader.readPerf(), hpm.trace());
-}
-
-TEST(TraceSpool, MismatchedRecordKindPanics)
-{
-    const fs::path dir = scratchDir("kind");
-    TraceSpool::Config cfg;
-    cfg.path = (dir / "t.jtrc").string();
-    cfg.kind = tracefmt::RecordKind::Perf;
-    TraceSpool spool(cfg);
-    // Kind mismatch is an internal invariant violation: panic/abort.
-    EXPECT_EXIT(spool.append(synthPower(0)),
-                testing::KilledBySignal(SIGABRT), "power");
-    spool.append(synthPerf(0));
-    spool.close();
+        "trace spool: write to .*capped.jtrc failed: File too large");
+    TraceReader reader(capped);
+    EXPECT_FALSE(reader.torn());
+    EXPECT_EQ(reader.blocks().size(), 2u);
+    expectPowerEq(reader.readPower(),
+                  PowerTrace(trace.begin(),
+                             trace.begin() +
+                                 static_cast<long>(2 * perBlock)));
 }
